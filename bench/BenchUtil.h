@@ -7,9 +7,9 @@
 /// \file
 /// Helpers shared by the table/figure harnesses: the standard build
 /// configurations from the paper's evaluation (§4.1), script execution with
-/// aggregate statistics, and table formatting. Every harness accepts an
-/// optional scale argument (argv[1], default 0.5) controlling workload
-/// size.
+/// aggregate statistics, and table formatting. Every harness accepts one
+/// optional positive scale argument (argv[1], default 0.5) controlling
+/// workload size; anything else exits with status 2.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,7 @@
 #include "sim/Simulator.h"
 #include "workload/Workload.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -52,9 +53,23 @@ inline core::CalibroOptions plOpts(uint32_t Threads = 2) {
   return O;
 }
 
-/// Workload scale from argv (argv[1], default 0.5).
+/// Workload scale from argv: no argument gives \p Default; otherwise
+/// exactly one finite number > 0 with no trailing characters. Anything else
+/// (a flag such as `--scale`, garbage, zero, a negative or non-finite
+/// value, extra arguments) exits with status 2, so no harness can run — and
+/// pass its gates — at a mis-parsed scale.
 inline double scaleFromArgs(int Argc, char **Argv, double Default = 0.5) {
-  return Argc > 1 ? std::atof(Argv[1]) : Default;
+  if (Argc == 1)
+    return Default;
+  char *End = nullptr;
+  double Scale = Argc == 2 ? std::strtod(Argv[1], &End) : 0.0;
+  if (Argc != 2 || End == Argv[1] || *End != '\0' || !std::isfinite(Scale) ||
+      Scale <= 0) {
+    std::fprintf(stderr, "usage: %s [scale]  (scale: a finite number > 0, "
+                 "default %g)\n", Argv[0], Default);
+    std::exit(2);
+  }
+  return Scale;
 }
 
 /// Must-succeed build.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification cycle plus sanitizer passes over the verification
-# suite. Usage: scripts/check.sh [mode] [build-dir]
+# Tier-1 verification cycle plus sanitizer passes over every test binary.
+# Usage: scripts/check.sh [mode] [build-dir]
 #   mode: all (default) | tier1 | asan | tsan
 set -euo pipefail
 
@@ -21,28 +21,24 @@ if [[ "$MODE" == all || "$MODE" == tier1 ]]; then
   ctest --test-dir "$BUILD" --output-on-failure -j
 fi
 
+# One sanitizer pass: configure SAN_BUILD with the given CALIBRO_SANITIZE
+# value, build everything (every test binary, plus the harnesses the ctest
+# suite drives), and run the whole ctest suite there.
+sanitize() {
+  local SAN_BUILD="$1" SANITIZERS="$2"
+  cmake -B "$SAN_BUILD" -S . -DCALIBRO_SANITIZE="$SANITIZERS"
+  cmake --build "$SAN_BUILD" -j
+  ctest --test-dir "$SAN_BUILD" --output-on-failure
+}
+
 if [[ "$MODE" == all || "$MODE" == asan ]]; then
-  echo "== sanitizers: ASan+UBSan build of the verification suite =="
-  SAN_BUILD="${BUILD}-asan"
-  cmake -B "$SAN_BUILD" -S . -DCALIBRO_SANITIZE=address,undefined
-  cmake --build "$SAN_BUILD" -j \
-        --target test_verify test_outliner test_suffixtree \
-                 test_serialize test_faultinject test_cache test_analysis \
-                 test_service test_layout
-  ctest --test-dir "$SAN_BUILD" --output-on-failure \
-        -R '^(test_verify|test_outliner|test_suffixtree|test_serialize|test_faultinject|test_cache|test_analysis|test_service|test_layout)$'
+  echo "== sanitizers: ASan+UBSan, every test binary =="
+  sanitize "${BUILD}-asan" address,undefined
 fi
 
 if [[ "$MODE" == all || "$MODE" == tsan ]]; then
-  echo "== sanitizers: TSan build of the parallel link-stage suite =="
-  TSAN_BUILD="${BUILD}-tsan"
-  cmake -B "$TSAN_BUILD" -S . -DCALIBRO_SANITIZE=thread
-  cmake --build "$TSAN_BUILD" -j --target test_parallel test_support \
-                                          test_faultinject test_cache \
-                                          test_analysis test_service \
-                                          test_layout
-  ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-        -R '^(test_parallel|test_support|test_faultinject|test_cache|test_analysis|test_service|test_layout)$'
+  echo "== sanitizers: TSan, every test binary =="
+  sanitize "${BUILD}-tsan" thread
 fi
 
 echo "check.sh ($MODE): all green"

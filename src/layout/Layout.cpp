@@ -9,6 +9,7 @@
 #include "support/MathExtras.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <unordered_map>
 
@@ -173,14 +174,21 @@ struct Adjacency {
       Start[I + 1] = Start[I] + Deg[I];
     Nbr.resize(Start.back());
     Wt.resize(Start.back());
+    // Saturate weights so that no signed gain sum can overflow: a gain
+    // adds at most every adjacency entry once, and refinement adds two
+    // gains. Real profiles stay orders of magnitude below the cap; only a
+    // corrupt (inflated) profile reaches it.
+    const uint64_t MaxWt =
+        uint64_t(std::numeric_limits<int64_t>::max()) / 2 /
+        std::max<uint64_t>(1, Start.back());
     std::vector<uint32_t> Fill(G.Nodes.size(), 0);
     for (const AffinityEdge &E : G.Edges) {
       uint32_t PA = Start[E.A] + Fill[E.A]++;
       uint32_t PB = Start[E.B] + Fill[E.B]++;
       Nbr[PA] = E.B;
-      Wt[PA] = E.Weight;
+      Wt[PA] = std::min(E.Weight, MaxWt);
       Nbr[PB] = E.A;
-      Wt[PB] = E.Weight;
+      Wt[PB] = std::min(E.Weight, MaxWt);
     }
   }
 };
@@ -295,10 +303,7 @@ struct Solver {
     for (uint32_t I = B; I < E; ++I)
       if (Side[Order[I]])
         Tmp.push_back(Order[I]);
-    for (uint32_t I = B; I < E; ++I) {
-      Order[I] = Tmp[I - B];
-      Pos[Order[I]] = I;
-    }
+    std::copy(Tmp.begin(), Tmp.end(), Order.begin() + B);
     return NewMid;
   }
 
@@ -328,8 +333,13 @@ struct Solver {
         for (std::size_t I = 0; I < Work.size(); ++I)
           RunOne(I);
       }
+      // Re-index after the barrier, not inside bisect: a concurrent
+      // bisect's gainOf reads Pos of its out-of-range neighbors, which
+      // belong to other ranges.
       Level.clear();
       for (std::size_t I = 0; I < Work.size(); ++I) {
+        for (uint32_t J = Work[I].Begin; J < Work[I].End; ++J)
+          Pos[Order[J]] = J;
         Level.push_back({Work[I].Begin, Mids[I]});
         Level.push_back({Mids[I], Work[I].End});
       }
