@@ -112,6 +112,8 @@ int main(int argc, char **argv) {
   core::CalibroOptions PlO = plOpts();
   auto Mono = build(Big, PlO);
   std::vector<uint8_t> MonoImage = oat::serializeOat(Mono.Oat);
+  // Identity against an image that outlined nothing would prove nothing.
+  const bool MonoOutlines = Mono.Stats.Ltbo.SequencesOutlined > 0;
   const std::size_t UnbudgetedSum = [&] {
     // What the unbudgeted fan-out can hold at once: all groups live
     // together, so the paper-honest comparison point is the per-group peak
@@ -125,6 +127,9 @@ int main(int argc, char **argv) {
   };
   std::vector<BudgetRow> BudgetRows;
   bool SweepIdentical = true, SweepBounded = true;
+  // Non-vacuous sweep: the bound above passes on overrun flags alone, so at
+  // least one row must actually split into windows that all fit.
+  bool SweepWindowedFits = false;
   for (uint64_t Div : {1ull, 2ull, 4ull, 8ull}) {
     core::CalibroOptions O = PlO;
     O.MemoryBudgetBytes = static_cast<uint64_t>(UnbudgetedSum) / Div;
@@ -138,6 +143,7 @@ int main(int argc, char **argv) {
         S.DetectBudgetOverruns > 0;
     SweepIdentical &= Identical;
     SweepBounded &= Within;
+    SweepWindowedFits |= S.DetectWindows >= 2 && S.DetectBudgetOverruns == 0;
     std::printf("  budget %10s: %2zu windows, window peak %10s, "
                 "%zu overruns, identical %s\n",
                 fmtBytes(O.MemoryBudgetBytes).c_str(), S.DetectWindows,
@@ -190,8 +196,12 @@ int main(int argc, char **argv) {
 
   std::printf("\n  windowed images byte-identical to monolithic : %s\n",
               SweepIdentical ? "PASS" : "FAIL");
+  std::printf("  monolithic reference outlines something        : %s\n",
+              MonoOutlines ? "PASS" : "FAIL");
   std::printf("  window peak within budget (or flagged overrun) : %s\n",
               SweepBounded ? "PASS" : "FAIL");
+  std::printf("  some budget runs >= 2 windows, no overruns     : %s\n",
+              SweepWindowedFits ? "PASS" : "FAIL");
   std::printf("  unbudgeted peak grows with input               : %s\n",
               UnbudgetedGrows ? "PASS" : "FAIL");
   std::printf("  budgeted window peak stays under fixed budget  : %s\n",
@@ -260,7 +270,8 @@ int main(int argc, char **argv) {
   std::fclose(J);
   std::printf("wrote BENCH_memory.json\n");
 
-  return SweepIdentical && SweepBounded && UnbudgetedGrows && BudgetedBounded
+  return SweepIdentical && MonoOutlines && SweepBounded && SweepWindowedFits &&
+                 UnbudgetedGrows && BudgetedBounded
              ? 0
              : 1;
 }

@@ -17,8 +17,8 @@
 ///    across thousands of app versions; without a bound it grows forever.
 ///    Each store that pushes a shard over its slice of the budget evicts
 ///    least-recently-touched entries — never a pinned one — until it fits.
-///    Eviction can only cost future hits: a miss recomputes (and the
-///    windowed-link merge pass re-detects), it never changes any output.
+///    Eviction can only cost future hits: a miss recomputes, it never
+///    changes any output.
 ///  * Cross-job digest dedup. Content addressing makes equal inputs collide
 ///    on purpose: when a second job stores a key that is already resident,
 ///    the disk write is skipped entirely (the bytes are identical by
@@ -86,10 +86,9 @@ public:
   CacheAudit audit() const override;
 
   /// RAII eviction pin: while alive, the pinned entry cannot be evicted
-  /// (loads of it still hit, stores still dedup). The windowed-link replay
-  /// path pins a group blob for exactly the span between deciding to replay
-  /// it and finishing the reload, so a concurrent job's stores can never
-  /// evict a selection out from under an in-flight replay.
+  /// (loads of it still hit, stores still dedup). loadMethod/loadGroup pin
+  /// their entry for the span of the read, so a concurrent job's stores
+  /// can never evict a blob out from under an in-flight load.
   class Pin {
   public:
     Pin() = default;

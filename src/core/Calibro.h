@@ -57,10 +57,9 @@ struct CalibroOptions {
   uint32_t LtboThreads = 1;
   /// Detect-phase memory budget in bytes (`calibro-dex2oat
   /// --memory-budget`); 0 = unbudgeted. See
-  /// OutlinerOptions::MemoryBudgetBytes: bounds LTBO's peak working set by
-  /// streaming detection in budget-sized windows, spilling finished group
-  /// selections to the build cache (or an ephemeral temp store), with
-  /// byte-identical output.
+  /// OutlinerOptions::MemoryBudgetBytes: bounds LTBO's detect working set
+  /// by running detection in budget-sized windows, with byte-identical
+  /// output.
   uint64_t MemoryBudgetBytes = 0;
   /// Kept only because perfbench/ assigns it; nothing reads it.
   DetectorKind LtboDetector = DetectorKind::SuffixArray;
@@ -116,7 +115,7 @@ struct CalibroOptions {
   ThreadPool::GroupId PoolGroup = 0;
   /// Externally-owned build cache (the daemon's sharded store). When set it
   /// overrides CacheDir: both the compile-stage method probes and LTBO
-  /// group replay go through this store, and windowed links spill into it.
+  /// group replay go through this store.
   cache::BuildCache *SharedCache = nullptr;
 };
 

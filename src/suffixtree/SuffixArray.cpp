@@ -356,16 +356,7 @@ const char *st::saBackendName(SaBackend B) {
 }
 
 SuffixArray::SuffixArray(std::vector<Symbol> Text, support::Arena *Scratch)
-    : Owned(std::move(Text)), View(Owned), TextLen(Owned.size()) {
-  build(Scratch);
-}
-
-SuffixArray::SuffixArray(std::span<const Symbol> Text, support::Arena *Scratch)
-    : View(Text), TextLen(Text.size()) {
-  build(Scratch);
-}
-
-void SuffixArray::build(support::Arena *Scratch) {
+    : Symbols(std::move(Text)), TextLen(Symbols.size()) {
   const uint32_t n = static_cast<uint32_t>(TextLen);
   const uint32_t N = n + 1; // Plus the virtual sentinel position n.
 
@@ -373,7 +364,7 @@ void SuffixArray::build(support::Arena *Scratch) {
   support::Arena &A = Scratch ? *Scratch : Local;
 
   uint32_t Alphabet = 0;
-  std::span<uint32_t> Rank = compactRanks(View, Alphabet, A);
+  std::span<uint32_t> Rank = compactRanks(Symbols, Alphabet, A);
 
   // Construction over the dense ranks via the hybrid auto-pick: SA-IS
   // (O(n), no doubling rounds) on large repeat-heavy text, radix prefix
@@ -487,19 +478,12 @@ uint32_t SuffixArray::firstPositionOf(int32_t Interval) const {
 }
 
 std::size_t SuffixArray::workingSetBytes() const {
-  // Viewed text counts like owned text while the view is live — the caller's
-  // storage is resident on this array's behalf — and drops to zero after
-  // releaseWorkingSet().
-  std::size_t TextBytes = Owned.empty() ? View.size() * sizeof(Symbol)
-                                        : Owned.capacity() * sizeof(Symbol);
-  return TextBytes + Sa.capacity() * sizeof(uint32_t) +
+  return Symbols.capacity() * sizeof(Symbol) +
+         Sa.capacity() * sizeof(uint32_t) +
          Intervals.capacity() * sizeof(Interval);
 }
 
-void SuffixArray::releaseWorkingSet() {
-  std::vector<Symbol>().swap(Owned);
-  View = {};
-}
+void SuffixArray::releaseWorkingSet() { std::vector<Symbol>().swap(Symbols); }
 
 std::vector<uint32_t>
 st::prefixDoublingSuffixArray(const std::vector<Symbol> &Text) {

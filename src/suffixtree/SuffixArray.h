@@ -98,20 +98,12 @@ public:
   explicit SuffixArray(std::vector<Symbol> Text,
                        support::Arena *Scratch = nullptr);
 
-  /// Same construction over a NON-OWNING view of \p Text — no private copy
-  /// is made, so the symbols may live in an mmap'd image or an arena. The
-  /// caller must keep the storage alive until releaseWorkingSet() (or
-  /// destruction); afterwards the array no longer touches it. Output is
-  /// byte-identical to the owning constructor's.
-  explicit SuffixArray(std::span<const Symbol> Text,
-                       support::Arena *Scratch = nullptr);
-
   /// Length of the original sequence. Valid even after
   /// releaseWorkingSet().
   std::size_t textSize() const { return TextLen; }
 
-  /// The stored (or viewed) sequence. Invalid after releaseWorkingSet().
-  std::span<const Symbol> text() const { return View; }
+  /// The stored sequence. Empty after releaseWorkingSet().
+  std::span<const Symbol> text() const { return Symbols; }
 
   /// Number of LCP intervals — the counterpart of a suffix tree's
   /// internal-node count (leaves are implicit in the array itself).
@@ -153,16 +145,15 @@ public:
     return std::span<const uint32_t>(Sa.data(), Sa.size());
   }
 
-  /// Bytes held by the detection-relevant arrays right now (text — owned
-  /// or viewed, suffix array, interval table; all construction scratch
-  /// lives in the arena and is already dead). Shrinks after
-  /// releaseWorkingSet(): the text contribution returns to zero.
+  /// Bytes held by the detection-relevant arrays right now (text, suffix
+  /// array, interval table; all construction scratch lives in the arena
+  /// and is already dead). Shrinks after releaseWorkingSet(): the text
+  /// contribution returns to zero.
   std::size_t workingSetBytes() const;
 
-  /// Drops the stored text (frees it when owned, forgets the view when
-  /// not). forEachRepeat/positionsOf/numNodes/textSize stay valid (they
-  /// read only Sa and Intervals); text() does not. Call once repeat
-  /// enumeration no longer needs the raw symbols.
+  /// Frees the stored text. forEachRepeat/positionsOf/numNodes/textSize
+  /// stay valid (they read only Sa and Intervals); text() does not. Call
+  /// once repeat enumeration no longer needs the raw symbols.
   void releaseWorkingSet();
 
 private:
@@ -173,10 +164,7 @@ private:
     uint32_t ParentLen; ///< LCP value of the enclosing (parent) interval.
   };
 
-  void build(support::Arena *Scratch);
-
-  std::vector<Symbol> Owned;    ///< Backing storage of the owning ctor.
-  std::span<const Symbol> View; ///< The sequence (owned or caller-owned).
+  std::vector<Symbol> Symbols; ///< The sequence, until releaseWorkingSet().
   std::size_t TextLen = 0;
   SaBackend Backend = SaBackend::SaIs;
   std::vector<uint32_t> Sa;

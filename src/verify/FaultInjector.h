@@ -100,7 +100,7 @@ struct FaultInjectorOptions {
   uint32_t LtboThreads = 1; ///< Worker threads for the mutated LTBO runs.
   /// Detect-phase memory budget for every LTBO run the harness performs
   /// (see OutlinerOptions::MemoryBudgetBytes); 0 = unbudgeted. Sweeping
-  /// the fault corpus through windowed mode proves the spill/merge path
+  /// the fault corpus through windowed mode proves the windowed path
   /// degrades (and rejects) exactly like the single-pass pipeline.
   uint64_t MemoryBudgetBytes = 0;
   bool Strict = false;      ///< Run LTBO in fail-fast (--strict) mode.

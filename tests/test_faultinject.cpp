@@ -205,7 +205,7 @@ TEST_F(FaultInjectTest, ClassificationIndependentOfThreadCount) {
 TEST(FaultInjectWindowed, SweepHoldsUnderMemoryBudget) {
   // The same fault-tolerance contract with the windowed (memory-budgeted)
   // pipeline in the loop: mutations over a streaming build land in the
-  // identical trichotomy, proving the spill/merge path neither masks
+  // identical trichotomy, proving the windowed path neither masks
   // corruption nor introduces divergence of its own.
   workload::AppSpec Spec;
   Spec.Name = "faultapp-windowed";

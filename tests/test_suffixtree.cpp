@@ -393,9 +393,8 @@ TEST(SuffixArray, BananaIntervals) {
 }
 
 //===----------------------------------------------------------------------===//
-// View (non-owning) construction: windowed linking builds suffix arrays
-// over spans of caller-held text. A view-built array must be
-// indistinguishable from an owned one over the same bytes.
+// Working-set accounting: detection drops the stored text once repeat
+// enumeration is done, and the accounting must follow.
 //===----------------------------------------------------------------------===//
 
 std::map<std::vector<Symbol>, std::vector<uint32_t>>
@@ -409,111 +408,22 @@ enumerateRepeats(SuffixArray &D, const std::vector<Symbol> &T,
   return Out;
 }
 
-void checkViewMatchesOwned(const std::vector<Symbol> &T) {
-  const uint32_t MaxLen = static_cast<uint32_t>(T.size()) + 1;
-  SuffixArray Owned{std::vector<Symbol>(T)};
-  SuffixArray Viewed{std::span<const Symbol>(T)};
-
-  EXPECT_EQ(Owned.textSize(), Viewed.textSize());
-  EXPECT_EQ(Owned.numNodes(), Viewed.numNodes());
-  // Both modes account the text identically (the owned copy is exact-size),
-  // so the whole working set matches byte for byte.
-  EXPECT_EQ(Owned.workingSetBytes(), Viewed.workingSetBytes());
-  EXPECT_EQ(enumerateRepeats(Owned, T, MaxLen),
-            enumerateRepeats(Viewed, T, MaxLen))
-      << "view diverged from owned (n=" << T.size() << ")";
-}
-
-TEST(ViewConstruction, EdgeShapes) {
-  for (const char *S : {"", "x", "aaaaaaaa", "banana", "mississippi"})
-    checkViewMatchesOwned(fromString(S));
-  // Symbols around the separator range and the all-ones value: legal text,
-  // never confused with the virtual sentinel.
-  std::vector<Symbol> Hostile = {SeparatorBase, 0, ~uint64_t(0), 0,
-                                 ~uint64_t(0), SeparatorBase + 1};
-  checkViewMatchesOwned(Hostile);
-}
-
-TEST(ViewConstruction, RandomTextsDifferential) {
-  Rng R(0x71e3);
-  for (int Case = 0; Case < 25; ++Case) {
-    std::size_t N = 1 + R.nextBelow(250);
-    unsigned Alphabet = 2 + static_cast<unsigned>(R.nextBelow(6));
-    std::vector<Symbol> T;
-    for (std::size_t I = 0; I < N; ++I) {
-      if (R.nextBool(0.05))
-        T.push_back(SeparatorBase + I);
-      else
-        T.push_back('a' + R.nextBelow(Alphabet));
-    }
-    checkViewMatchesOwned(T);
-  }
-}
-
-TEST(ViewConstruction, TandemRepeatTextsDifferential) {
-  // Repeat-heavy corpora (tandem blocks with occasional separators): the
-  // shapes that stress deep interval chains and the SA-IS recursion.
-  Rng R(0x7a2d);
-  for (int Case = 0; Case < 20; ++Case) {
-    std::vector<Symbol> Block;
-    std::size_t BlockLen = 2 + R.nextBelow(10);
-    for (std::size_t I = 0; I < BlockLen; ++I)
-      Block.push_back('a' + R.nextBelow(3));
-    std::vector<Symbol> T;
-    uint64_t Sep = 0;
-    std::size_t Reps = 3 + R.nextBelow(25);
-    for (std::size_t K = 0; K < Reps; ++K) {
-      T.insert(T.end(), Block.begin(), Block.end());
-      if (R.nextBelow(4) == 0)
-        T.push_back(SeparatorBase + Sep++);
-    }
-    checkViewMatchesOwned(T);
-  }
-}
-
-TEST(ViewConstruction, WindowedSlicesMatchWholeCopies) {
-  // The windowed pipeline's actual usage: views over sub-ranges of one big
-  // caller-held buffer. Each slice's view array must equal an owned array
-  // over a private copy of that slice.
-  Rng R(0x5117);
-  std::vector<Symbol> Whole;
-  for (std::size_t I = 0; I < 400; ++I)
-    Whole.push_back('a' + R.nextBelow(4));
-  for (int Case = 0; Case < 15; ++Case) {
-    std::size_t Lo = R.nextBelow(Whole.size());
-    std::size_t Len = 1 + R.nextBelow(Whole.size() - Lo);
-    std::span<const Symbol> Slice(Whole.data() + Lo, Len);
-    std::vector<Symbol> Copy(Slice.begin(), Slice.end());
-    const uint32_t MaxLen = static_cast<uint32_t>(Len) + 1;
-
-    SuffixArray ArrView{Slice};
-    SuffixArray ArrCopy{std::vector<Symbol>(Copy)};
-    EXPECT_EQ(enumerateRepeats(ArrView, Copy, MaxLen),
-              enumerateRepeats(ArrCopy, Copy, MaxLen));
-  }
-}
-
-TEST(ViewConstruction, ReleaseWorkingSetAccounting) {
+TEST(SuffixArrayWorkingSet, ReleaseWorkingSetAccounting) {
   Rng R(0x4e1e);
   std::vector<Symbol> T;
   for (std::size_t I = 0; I < 300; ++I)
     T.push_back('a' + R.nextBelow(3));
   const std::size_t TextBytes = T.size() * sizeof(Symbol);
-  SuffixArray Owned{std::vector<Symbol>(T)};
-  SuffixArray Viewed{std::span<const Symbol>(T)};
-  auto Repeats = enumerateRepeats(Owned, T, 16);
+  SuffixArray Arr{std::vector<Symbol>(T)};
+  auto Repeats = enumerateRepeats(Arr, T, 16);
 
-  const std::size_t Before = Owned.workingSetBytes();
-  ASSERT_EQ(Before, Viewed.workingSetBytes());
+  const std::size_t Before = Arr.workingSetBytes();
   ASSERT_GE(Before, TextBytes);
-  Owned.releaseWorkingSet();
-  Viewed.releaseWorkingSet();
-  // The text contribution returns to zero in BOTH modes — dropping a view
-  // must shed exactly as many accounted bytes as freeing an owned copy.
-  EXPECT_EQ(Owned.workingSetBytes(), Viewed.workingSetBytes());
-  EXPECT_LE(Owned.workingSetBytes(), Before - TextBytes);
+  Arr.releaseWorkingSet();
+  // The text contribution (an exact-size copy) returns to zero.
+  EXPECT_EQ(Arr.workingSetBytes(), Before - TextBytes);
   // Enumeration survives release (it reads only the retained structure).
-  EXPECT_EQ(enumerateRepeats(Viewed, T, 16), Repeats);
+  EXPECT_EQ(enumerateRepeats(Arr, T, 16), Repeats);
 }
 
 } // namespace

@@ -40,11 +40,9 @@ void usage() {
       "  --ltbo             enable link-time binary outlining (paper 3.3)\n"
       "  --partitions <k>   K detection partitions (paper 3.4.1 PlOpti)\n"
       "  --threads <n>      LTBO worker threads\n"
-      "  --memory-budget <bytes>  bound LTBO's peak detection working set:\n"
-      "                     detection streams in budget-sized windows,\n"
-      "                     spilling finished groups to the build cache (or\n"
-      "                     an ephemeral temp store); output is\n"
-      "                     byte-identical to an unbudgeted build. Without\n"
+      "  --memory-budget <bytes>  bound LTBO's detection working set:\n"
+      "                     detection runs in budget-sized windows; output\n"
+      "                     is byte-identical to an unbudgeted build. Without\n"
       "                     an explicit --partitions, K is derived from the\n"
       "                     budget\n"
       "  --hf               hot-function filtering: profile a scripted run\n"
@@ -221,13 +219,11 @@ int main(int argc, char **argv) {
   if (Opts.MemoryBudgetBytes && St.Ltbo.DetectWindows)
     std::fprintf(stderr,
                  "  windowed: %zu partitions, %zu windows, window peak %zu "
-                 "bytes (budget %llu), %zu groups spilled, %zu overruns, "
-                 "merge %.3fs\n",
+                 "bytes (budget %llu), %zu overruns\n",
                  St.Ltbo.PartitionsUsed, St.Ltbo.DetectWindows,
                  St.Ltbo.DetectWindowPeakBytes,
                  (unsigned long long)Opts.MemoryBudgetBytes,
-                 St.Ltbo.GroupsSpilled, St.Ltbo.DetectBudgetOverruns,
-                 St.Ltbo.MergeSeconds);
+                 St.Ltbo.DetectBudgetOverruns);
   if (CacheStats && !Opts.CacheDir.empty())
     std::fprintf(stderr,
                  "  cache: %zu method hits, %zu misses, %zu/%zu LTBO groups "
