@@ -6,23 +6,28 @@
 ///
 /// \file
 /// Helpers shared by the table/figure harnesses: the standard build
-/// configurations from the paper's evaluation (§4.1), script execution with
-/// aggregate statistics, and table formatting. Every harness accepts one
-/// optional positive scale argument (argv[1], default 0.5) controlling
-/// workload size; anything else exits with status 2.
+/// configurations from the paper's evaluation (§4.1), the baseline code the
+/// §2.2 analysis reads, script execution with aggregate statistics, and
+/// table formatting. Every harness accepts one optional positive scale
+/// argument (argv[1], default 0.5) controlling workload size; anything else
+/// exits with status 2.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CALIBRO_BENCH_BENCHUTIL_H
 #define CALIBRO_BENCH_BENCHUTIL_H
 
+#include "codegen/CodeGenerator.h"
 #include "core/Calibro.h"
+#include "hir/HGraph.h"
+#include "hir/Passes.h"
 #include "sim/Simulator.h"
+#include "support/NumericArgs.h"
 #include "workload/Workload.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,22 +59,47 @@ inline core::CalibroOptions plOpts(uint32_t Threads = 2) {
 }
 
 /// Workload scale from argv: no argument gives \p Default; otherwise
-/// exactly one finite number > 0 with no trailing characters. Anything else
-/// (a flag such as `--scale`, garbage, zero, a negative or non-finite
-/// value, extra arguments) exits with status 2, so no harness can run — and
-/// pass its gates — at a mis-parsed scale.
+/// exactly one finite number > 0 with no trailing characters
+/// (support::parsePositive). Anything else (a flag such as `--scale`,
+/// garbage, zero, a negative or non-finite value, extra arguments) exits
+/// with status 2, so no harness can run — and pass its gates — at a
+/// mis-parsed scale.
 inline double scaleFromArgs(int Argc, char **Argv, double Default = 0.5) {
   if (Argc == 1)
     return Default;
-  char *End = nullptr;
-  double Scale = Argc == 2 ? std::strtod(Argv[1], &End) : 0.0;
-  if (Argc != 2 || End == Argv[1] || *End != '\0' || !std::isfinite(Scale) ||
-      Scale <= 0) {
+  std::optional<double> Scale;
+  if (Argc == 2)
+    Scale = support::parsePositive(Argv[1]);
+  if (!Scale) {
     std::fprintf(stderr, "usage: %s [scale]  (scale: a finite number > 0, "
                  "default %g)\n", Argv[0], Default);
     std::exit(2);
   }
-  return Scale;
+  return *Scale;
+}
+
+/// Baseline-compiles every method of \p App: the pre-Calibro binary code
+/// the §2.2 redundancy analysis runs on.
+inline std::vector<codegen::CompiledMethod>
+compileBaseline(const dex::App &App) {
+  codegen::CtoStubCache Cache;
+  codegen::CodeGenerator Gen({.EnableCto = false}, Cache);
+  std::vector<codegen::CompiledMethod> Out;
+  auto Pipeline = hir::defaultPipeline();
+  App.forEachMethod([&](const dex::Method &M) {
+    if (M.IsNative) {
+      Out.push_back(Gen.compileNative(M));
+      return;
+    }
+    auto G = hir::buildHGraph(M);
+    if (!G) {
+      std::fprintf(stderr, "%s\n", G.message().c_str());
+      std::exit(1);
+    }
+    hir::runPipeline(*G, Pipeline);
+    Out.push_back(Gen.compile(*G));
+  });
+  return Out;
 }
 
 /// Must-succeed build.

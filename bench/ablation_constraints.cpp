@@ -15,36 +15,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "codegen/CodeGenerator.h"
 #include "core/Outliner.h"
 #include "core/RedundancyAnalysis.h"
-#include "hir/Passes.h"
 
 using namespace calibro;
 using namespace calibro::bench;
 
 namespace {
-
-std::vector<codegen::CompiledMethod> compileBaseline(const dex::App &App) {
-  codegen::CtoStubCache Cache;
-  codegen::CodeGenerator Gen({.EnableCto = false}, Cache);
-  std::vector<codegen::CompiledMethod> Out;
-  auto Pipeline = hir::defaultPipeline();
-  App.forEachMethod([&](const dex::Method &M) {
-    if (M.IsNative) {
-      Out.push_back(Gen.compileNative(M));
-      return;
-    }
-    auto G = hir::buildHGraph(M);
-    if (!G) {
-      std::fprintf(stderr, "%s\n", G.message().c_str());
-      std::exit(1);
-    }
-    hir::runPipeline(*G, Pipeline);
-    Out.push_back(Gen.compile(*G));
-  });
-  return Out;
-}
 
 double estimate(const std::vector<codegen::CompiledMethod> &Methods,
                 bool Term, bool PcRel, bool Lr) {

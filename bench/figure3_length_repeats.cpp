@@ -14,9 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "codegen/CodeGenerator.h"
 #include "core/RedundancyAnalysis.h"
-#include "hir/Passes.h"
 
 #include <cmath>
 
@@ -29,23 +27,7 @@ int main(int argc, char **argv) {
   const auto &Spec = Specs[5]; // Wechat.
   dex::App App = workload::makeApp(Spec);
 
-  codegen::CtoStubCache Cache;
-  codegen::CodeGenerator Gen({.EnableCto = false}, Cache);
-  std::vector<codegen::CompiledMethod> Methods;
-  auto Pipeline = hir::defaultPipeline();
-  App.forEachMethod([&](const dex::Method &M) {
-    if (M.IsNative) {
-      Methods.push_back(Gen.compileNative(M));
-      return;
-    }
-    auto G = hir::buildHGraph(M);
-    if (!G) {
-      std::fprintf(stderr, "%s\n", G.message().c_str());
-      std::exit(1);
-    }
-    hir::runPipeline(*G, Pipeline);
-    Methods.push_back(Gen.compile(*G));
-  });
+  std::vector<codegen::CompiledMethod> Methods = compileBaseline(App);
 
   core::AnalysisOptions Opts;
   Opts.MaxSeqLen = 64;

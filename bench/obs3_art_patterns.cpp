@@ -16,9 +16,7 @@
 #include "aarch64/Decoder.h"
 #include "aarch64/Disasm.h"
 #include "codegen/ArtAbi.h"
-#include "codegen/CodeGenerator.h"
 #include "core/RedundancyAnalysis.h"
-#include "hir/Passes.h"
 
 using namespace calibro;
 using namespace calibro::bench;
@@ -62,23 +60,7 @@ int main(int argc, char **argv) {
   const auto &Spec = Specs[5]; // Wechat.
   dex::App App = workload::makeApp(Spec);
 
-  codegen::CtoStubCache Cache;
-  codegen::CodeGenerator Gen({.EnableCto = false}, Cache);
-  std::vector<codegen::CompiledMethod> Methods;
-  auto Pipeline = hir::defaultPipeline();
-  App.forEachMethod([&](const dex::Method &M) {
-    if (M.IsNative) {
-      Methods.push_back(Gen.compileNative(M));
-      return;
-    }
-    auto G = hir::buildHGraph(M);
-    if (!G) {
-      std::fprintf(stderr, "%s\n", G.message().c_str());
-      std::exit(1);
-    }
-    hir::runPipeline(*G, Pipeline);
-    Methods.push_back(Gen.compile(*G));
-  });
+  std::vector<codegen::CompiledMethod> Methods = compileBaseline(App);
 
   // Rank short repeats by raw frequency, like the paper's per-pattern
   // counts (1006k / 173k / 217k occurrences in WeChat).

@@ -13,39 +13,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "codegen/CodeGenerator.h"
 #include "core/RedundancyAnalysis.h"
-#include "hir/Passes.h"
 
 using namespace calibro;
 using namespace calibro::bench;
-
-namespace {
-
-/// Baseline-compiles every method of \p App (the analysis runs on
-/// pre-Calibro binary code, exactly as §2.2 does).
-std::vector<codegen::CompiledMethod> compileBaseline(const dex::App &App) {
-  codegen::CtoStubCache Cache;
-  codegen::CodeGenerator Gen({.EnableCto = false}, Cache);
-  std::vector<codegen::CompiledMethod> Out;
-  auto Pipeline = hir::defaultPipeline();
-  App.forEachMethod([&](const dex::Method &M) {
-    if (M.IsNative) {
-      Out.push_back(Gen.compileNative(M));
-      return;
-    }
-    auto G = hir::buildHGraph(M);
-    if (!G) {
-      std::fprintf(stderr, "%s\n", G.message().c_str());
-      std::exit(1);
-    }
-    hir::runPipeline(*G, Pipeline);
-    Out.push_back(Gen.compile(*G));
-  });
-  return Out;
-}
-
-} // namespace
 
 int main(int argc, char **argv) {
   double Scale = scaleFromArgs(argc, argv);

@@ -30,6 +30,13 @@ std::string entryPath(const std::string &ShardDir, const std::string &K) {
   return ShardDir + (K[0] == 'm' ? "/m/" : "/g/") + K.substr(1) + ".bin";
 }
 
+/// Directory of shard \p I under \p Dir.
+std::string shardDir(const std::string &Dir, uint32_t I) {
+  char Name[16];
+  std::snprintf(Name, sizeof(Name), "/s%02u", I);
+  return Dir + Name;
+}
+
 uint64_t fileBytes(const std::string &Path) {
   std::error_code Ec;
   uint64_t N = fs::file_size(Path, Ec);
@@ -55,9 +62,7 @@ ShardedBuildCache::open(const std::string &Dir, uint32_t NumShards,
       BudgetBytes ? std::max<uint64_t>(1, BudgetBytes / NumShards) : 0;
 
   for (uint32_t I = 0; I < NumShards; ++I) {
-    char Name[8];
-    std::snprintf(Name, sizeof(Name), "s%02u", I);
-    auto Store = BuildCache::open(Dir + "/" + Name);
+    auto Store = BuildCache::open(shardDir(Dir, I));
     if (!Store)
       return Store.takeError();
     auto S = std::make_unique<Shard>();
@@ -91,6 +96,14 @@ ShardedBuildCache::open(const std::string &Dir, uint32_t NumShards,
     Cache->evictLocked(*S);
   }
   return Cache;
+}
+
+uint32_t ShardedBuildCache::shardsIn(const std::string &Dir) {
+  uint32_t N = 0;
+  std::error_code Ec;
+  while (fs::is_directory(shardDir(Dir, N), Ec))
+    ++N;
+  return N;
 }
 
 const ShardedBuildCache::Shard &

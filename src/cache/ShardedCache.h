@@ -76,6 +76,11 @@ public:
   static Expected<std::unique_ptr<ShardedBuildCache>>
   open(const std::string &Dir, uint32_t NumShards, uint64_t BudgetBytes = 0);
 
+  /// Number of shard stores (s00, s01, ... with no gap) under \p Dir: how
+  /// many shards open() made there, or 0 when \p Dir is not a sharded root.
+  /// Reads only; creates nothing.
+  static uint32_t shardsIn(const std::string &Dir);
+
   std::optional<CachedMethod> loadMethod(const Digest &Key) const override;
   void storeMethod(const Digest &Key, const codegen::CompiledMethod &M,
                    uint32_t HirInsnsSimplified) const override;

@@ -59,7 +59,6 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
   std::vector<codegen::CompiledMethod> Methods(Order.size());
   std::vector<std::size_t> Simplified(Order.size(), 0);
   std::vector<std::string> Errors(Order.size());
-  std::vector<cache::Digest> Digests(Cache ? Order.size() : 0);
   std::vector<uint8_t> CacheHit(Order.size(), 0);
   auto Pipeline = hir::defaultPipeline();
 
@@ -76,7 +75,6 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
             CM->Method.Side.IsNative == M.IsNative) {
           Methods[I] = std::move(CM->Method);
           Simplified[I] = CM->HirInsnsSimplified;
-          Digests[I] = cache::methodContentDigest(Methods[I]);
           CacheHit[I] = 1;
           return;
         }
@@ -94,11 +92,9 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
         Simplified[I] += PS.Simplified;
       Methods[I] = Gen.compile(*G);
     }
-    if (Cache) {
-      Digests[I] = cache::methodContentDigest(Methods[I]);
+    if (Cache)
       Cache->storeMethod(SourceKey, Methods[I],
                          static_cast<uint32_t>(Simplified[I]));
-    }
   };
 
   if (Opts.Pool) {
@@ -131,7 +127,6 @@ Expected<CompiledApp> core::compileApp(const dex::App &App,
 
   Result.Methods = std::move(Methods);
   Result.Stubs = StubCache.takeStubs();
-  Result.MethodDigests = std::move(Digests);
 
   // Dex-level call graph for the closed-world analyses. Built even for
   // open-world apps (oatdump --callgraph wants it); the GC itself only

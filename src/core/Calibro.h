@@ -162,12 +162,6 @@ struct CompiledApp {
   std::string AppName;
   std::vector<codegen::CompiledMethod> Methods;
   std::vector<codegen::CtoStub> Stubs;
-  /// Content digest of each compiled method (parallel to Methods),
-  /// populated when a cache directory is configured. Purely observational:
-  /// the outliner recomputes digests from the methods it actually links,
-  /// so mutations between compile and link can never replay stale cache
-  /// entries.
-  std::vector<cache::Digest> MethodDigests;
   /// The dex-level call graph (invoke sites + CHA virtual fan-out),
   /// built by compileApp when HasAnalysis is set. linkApp refines it with
   /// binary cross-references before the reachability pass.

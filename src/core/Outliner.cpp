@@ -6,106 +6,22 @@
 
 #include "core/Outliner.h"
 
-#include "aarch64/Decoder.h"
 #include "aarch64/Encoder.h"
 #include "aarch64/PcRel.h"
-#include "core/BenefitModel.h"
+#include "core/Selection.h"
 #include "suffixtree/SuffixArray.h"
 #include "support/Arena.h"
-#include "support/Compiler.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
-#include <type_traits>
 
 using namespace calibro;
 using namespace calibro::core;
 using namespace calibro::codegen;
 
 namespace {
-
-/// True when executing \p I inside an outlined function would observe or
-/// destroy the return address the outlining `bl` produced. Unused register
-/// fields of Insn are zero, so checking all of them is exact for the
-/// supported subset.
-bool touchesLr(const a64::Insn &I) {
-  if (I.Op == a64::Opcode::Bl || I.Op == a64::Opcode::Blr)
-    return true; // Implicit LR write.
-  return I.Rd == a64::LR || I.Rn == a64::LR || I.Rm == a64::LR ||
-         I.Ra == a64::LR;
-}
-
-/// One selected occurrence, in method-local coordinates.
-struct MethodOcc {
-  uint32_t WordStart = 0;
-  uint32_t LenWords = 0;
-  uint32_t FuncId = 0;
-};
-
-/// Sequence position provenance: which method row and word produced it.
-struct PosInfo {
-  int32_t MethodRow = -1; ///< -1 for inter-method separators.
-  uint32_t Word = 0;
-};
-
-/// Marks separator words for one method: embedded data, terminators,
-/// PC-relative instructions, LR-sensitive instructions, and — under hot
-/// function filtering — everything outside the slow-path ranges.
-///
-/// Runs only on methods that passed validateSideInfo, so every non-data
-/// word decodes; an undecodable word is still handled defensively (it
-/// becomes a separator and can never be outlined).
-std::vector<bool> computeSeparators(const CompiledMethod &M,
-                                    bool HotFiltered) {
-  std::size_t NumWords = M.Code.size();
-  std::vector<bool> Sep(NumWords, false);
-  std::vector<bool> IsData(NumWords, false);
-
-  for (const auto &D : M.Side.EmbeddedData)
-    for (uint32_t W = D.Offset / 4; W < (D.Offset + D.Size) / 4; ++W) {
-      Sep[W] = true;
-      IsData[W] = true;
-    }
-  for (uint32_t T : M.Side.TerminatorOffsets)
-    Sep[T / 4] = true;
-  for (const auto &R : M.Side.PcRelRecords)
-    Sep[R.InsnOffset / 4] = true;
-
-  for (std::size_t W = 0; W < NumWords; ++W) {
-    if (IsData[W])
-      continue;
-    auto I = a64::decode(M.Code[W]);
-    if (!I || touchesLr(*I))
-      Sep[W] = true;
-  }
-
-  if (HotFiltered) {
-    // Only the recorded slow paths stay outlinable (paper §3.4.2).
-    std::vector<bool> InSlowPath(NumWords, false);
-    for (const auto &R : M.Side.SlowPathRanges)
-      for (uint32_t W = R.Begin / 4; W < R.End / 4; ++W)
-        InSlowPath[W] = true;
-    for (std::size_t W = 0; W < NumWords; ++W)
-      if (!InSlowPath[W])
-        Sep[W] = true;
-  }
-  return Sep;
-}
-
-/// Marks words that some branch jumps to (from the recorded PcRelRecords).
-/// An occurrence may start at such a word but must not contain one in its
-/// interior: the interior instructions no longer exist at their old
-/// addresses after outlining.
-std::vector<bool> computeBranchTargets(const CompiledMethod &M) {
-  std::vector<bool> Target(M.Code.size(), false);
-  for (const auto &R : M.Side.PcRelRecords)
-    if (R.TargetOffset / 4 < M.Code.size())
-      Target[R.TargetOffset / 4] = true;
-  return Target;
-}
 
 /// Rewrites one method given its selected occurrences (sorted, disjoint):
 /// replaces each occurrence with a relocated `bl`, then remaps and patches
@@ -207,12 +123,11 @@ Error rewriteMethod(CompiledMethod &M, std::vector<MethodOcc> Occs) {
   return Error::success();
 }
 
-/// Phase A output for one candidate method: everything computeSeparators /
-/// computeBranchTargets derive, computed once up front (in parallel) so the
-/// per-group sequence assembly below is a cheap copy loop.
+/// Phase A output for one candidate method: its separators, computed once
+/// up front (in parallel) so the per-group sequence assembly below is a
+/// cheap copy loop.
 struct MethodPrep {
   std::vector<bool> Sep;
-  std::vector<bool> Targets;
   /// Content digest (code + side info), computed only when detection-result
   /// reuse is on. Recomputed HERE, from the method actually being linked:
   /// a digest carried over from an earlier pipeline stage could go stale if
@@ -220,69 +135,30 @@ struct MethodPrep {
   /// replay a wrong cached selection.
   cache::Digest Content;
   /// Side-info validation outcome. A faulted method is skipped by the
-  /// prep (Sep/Targets stay empty) and excluded from outlining — or, in
-  /// strict mode, aborts the run.
+  /// prep (Sep stays empty) and excluded from outlining — or, in strict
+  /// mode, aborts the run.
   codegen::SideInfoDiag Diag;
 };
 
-/// Rewrite work for one method, produced by selection (Phase B) and
-/// executed by the rewrite fan-out (Phase C).
-struct RewriteWork {
-  std::size_t Row = 0; ///< Index into Methods.
-  std::vector<MethodOcc> Occs;
-};
-
-/// Estimated peak detect-phase bytes per sequence word: 8 B text + 12 B
-/// PosInfo provenance, plus the SA-IS arrays and interval table at their
+/// Estimated peak detect-phase bytes per sequence word: 8 B text + 8 B
+/// SeqPos provenance, plus the SA-IS arrays and interval table at their
 /// construction peak. Calibrated against table5_memory's DetectPeakBytes on
 /// the paper-app corpus; deliberately a little high so a window's real peak
 /// lands under, not over, its estimate. The window planner and the
 /// auto-partition chooser size groups with it.
 constexpr std::size_t DetectBytesPerWord = 64;
 
-/// Phase B for one partition: sequence assembly from the precomputed
-/// separators, suffix-array detection, and candidate selection. Produces
-/// this group's outlined functions and the per-method rewrite work; it
-/// mutates nothing, so groups run concurrently.
-void runGroup(const std::vector<CompiledMethod> &Methods,
-              const std::vector<std::size_t> &Rows,
-              const std::vector<const MethodPrep *> &Preps, uint32_t GroupIdx,
-              const OutlinerOptions &Opts, std::vector<OutlinedFunc> &FuncsOut,
-              std::vector<RewriteWork> &WorkOut, OutlineStats &Stats,
-              cache::GroupSelections *StoreOut, support::Arena *Scratch) {
-  Timer BuildTimer;
-
-  // Step 2 (paper §3.3.2): map this group's binary code to one symbol
-  // sequence with unique separators. Sized up front: every word emits one
-  // position plus one inter-method separator per method.
-  std::size_t TotalWords = 0;
-  for (std::size_t Row : Rows)
-    TotalWords += Methods[Row].Code.size() + 1;
-
-  std::vector<st::Symbol> Seq;
-  std::vector<PosInfo> Pos;
-  Seq.reserve(TotalWords);
-  Pos.reserve(TotalWords);
-  uint64_t SepCounter = 0;
-
-  for (std::size_t GI = 0; GI < Rows.size(); ++GI) {
-    const CompiledMethod &M = Methods[Rows[GI]];
-    const std::vector<bool> &Sep = Preps[GI]->Sep;
-    for (std::size_t W = 0; W < M.Code.size(); ++W) {
-      Seq.push_back(Sep[W] ? st::SeparatorBase + SepCounter++
-                           : st::Symbol(M.Code[W]));
-      Pos.push_back({static_cast<int32_t>(GI), static_cast<uint32_t>(W)});
-    }
-    Seq.push_back(st::SeparatorBase + SepCounter++);
-    Pos.push_back({-1, 0});
-  }
-  const std::size_t TextSize = Seq.size();
-  Stats.SymbolCount += TextSize;
-
-  // The sequence moves into the array (no second text copy) and is freed
-  // by releaseWorkingSet() below; the construction scratch comes from the
+/// Cold Phase B for one assembled group (paper §3.3.2–3.3.3): suffix-array
+/// detection, then ranking and greedy claiming. \p BuildTimer started
+/// before sequence assembly, which counts as construction time.
+cache::GroupSelections detectGroup(Sequence &Seq, const OutlinerOptions &Opts,
+                                   OutlineStats &Stats,
+                                   support::Arena *Scratch,
+                                   const Timer &BuildTimer) {
+  // The text moves into the array (no second copy) and is freed by
+  // releaseWorkingSet() below; the construction scratch comes from the
   // caller's arena (dead once the constructor returns).
-  st::SuffixArray Sa(std::move(Seq), Scratch);
+  st::SuffixArray Sa(std::move(Seq.Text), Scratch);
   Stats.TreeNodes += Sa.numNodes();
   Stats.BuildTreeSeconds += BuildTimer.seconds();
   if (Sa.constructionBackend() == st::SaBackend::SaIs)
@@ -290,258 +166,27 @@ void runGroup(const std::vector<CompiledMethod> &Methods,
   else
     ++Stats.GroupsPrefixDoubling;
 
-  // Step 3 (paper §3.3.3): rank candidates by the Fig. 2 benefit model and
-  // claim occurrences greedily.
-  Timer SelectTimer;
-  struct Cand {
-    int32_t Node;
-    uint32_t Len;
-    uint32_t Count;
-    uint32_t First; ///< Earliest occurrence, for content-based ordering.
-    int64_t Ben;
-  };
-  std::vector<Cand> Cands;
-  Sa.forEachRepeat(Opts.MinSeqLen, Opts.MaxSeqLen, 2,
-                   [&](const st::RepeatInfo &R) {
-                     int64_t Ben = benefit(R.Length, R.Count);
-                     if (Ben > 0)
-                       Cands.push_back({R.Node, R.Length, R.Count, 0, Ben});
-                   });
-  Stats.CandidatesEvaluated += Cands.size();
-  // One O(count) scan per candidate — no occurrence copy, no sort. The
-  // old positionsOf()-per-candidate pass here was the k=32 select spike:
-  // copying and sorting every candidate's full occurrence list just to
-  // read its minimum made this loop superlinear in the candidate count.
-  for (Cand &C : Cands)
-    C.First = Sa.firstPositionOf(C.Node);
-  const double EnumerateSeconds = SelectTimer.seconds();
+  Timer RankTimer;
+  std::vector<Candidate> Ranked =
+      rankCandidates(Sa, Opts.MinSeqLen, Opts.MaxSeqLen);
+  Stats.CandidatesEvaluated += Ranked.size();
+  const double RankSeconds = RankTimer.seconds();
 
   // The detect-phase working set peaks here: the full suffix array plus
-  // this group's sequence/provenance arrays. Record it, then drop the
-  // stored text — selection below reads occurrence positions and method
-  // words only. Neither the sampling nor the release is selection work, so
-  // both stay outside the selection timers.
+  // this group's provenance and candidate arrays. Record it, then drop the
+  // stored text — claiming reads occurrence positions only. Neither the
+  // sampling nor the release is selection work, so both stay untimed.
   Stats.DetectPeakBytes =
       std::max(Stats.DetectPeakBytes,
-               Sa.workingSetBytes() + Pos.capacity() * sizeof(PosInfo) +
-                   Cands.capacity() * sizeof(Cand));
+               Sa.workingSetBytes() + Seq.Pos.capacity() * sizeof(SeqPos) +
+                   Ranked.capacity() * sizeof(Candidate));
   Sa.releaseWorkingSet();
 
   Timer ClaimTimer;
-  // The tie-break is content-based ((first occurrence, length) names the
-  // sequence uniquely), so selection never depends on interval numbering.
-  std::sort(Cands.begin(), Cands.end(), [](const Cand &A, const Cand &B) {
-    if (A.Ben != B.Ben)
-      return A.Ben > B.Ben;
-    if (A.Len != B.Len)
-      return A.Len > B.Len;
-    return A.First < B.First;
-  });
-
-  std::vector<bool> Claimed(TextSize, false);
-  std::vector<std::vector<MethodOcc>> OccsByMethod(Rows.size());
-  uint32_t LocalFuncs = 0;
-  std::vector<uint32_t> PosBuf;
-  std::vector<uint32_t> Selected;
-
-  for (const Cand &C : Cands) {
-    Selected.clear();
-    uint32_t LastEnd = 0;
-    Sa.positionsOf(C.Node, PosBuf);
-    for (uint32_t P : PosBuf) {
-      if (!Selected.empty() && P < LastEnd)
-        continue; // Overlaps the previous selection of this candidate.
-      bool Ok = true;
-      for (uint32_t Q = P; Q < P + C.Len && Ok; ++Q)
-        Ok = !Claimed[Q];
-      // Interior branch targets invalidate an occurrence: after outlining,
-      // nothing would exist at those addresses to jump to.
-      if (Ok) {
-        const PosInfo &PI = Pos[P];
-        assert(PI.MethodRow >= 0 && "occurrence starts at a separator");
-        const auto &TargetAt = Preps[PI.MethodRow]->Targets;
-        for (uint32_t K = 1; K < C.Len && Ok; ++K)
-          Ok = !TargetAt[PI.Word + K];
-      }
-      if (!Ok)
-        continue;
-      Selected.push_back(P);
-      LastEnd = P + C.Len;
-    }
-    if (!isProfitable(C.Len, Selected.size()))
-      continue;
-
-    assert(LocalFuncs < (1u << 20) && "too many outlined functions in group");
-    uint32_t FuncId = (GroupIdx << 20) | LocalFuncs++;
-
-    OutlinedFunc Fn;
-    Fn.Id = FuncId;
-    Fn.SeqLength = C.Len;
-    Fn.Occurrences = static_cast<uint32_t>(Selected.size());
-    // The preserved copy comes from the first occurrence's method words
-    // (the detector's stored text is already released). Each word emitted
-    // exactly one sequence position, so the occurrence maps to contiguous
-    // words of one method.
-    uint32_t P0 = Selected.front();
-    const PosInfo &PI0 = Pos[P0];
-    const CompiledMethod &SrcM = Methods[Rows[PI0.MethodRow]];
-    for (uint32_t K = 0; K < C.Len; ++K) {
-      assert(!Preps[PI0.MethodRow]->Sep[PI0.Word + K] &&
-             "separator inside a repeated sequence");
-      Fn.Code.push_back(SrcM.Code[PI0.Word + K]);
-    }
-    a64::Insn RetBr{.Op = a64::Opcode::Br};
-    RetBr.Rn = a64::LR;
-    Fn.Code.push_back(a64::encode(RetBr));
-    FuncsOut.push_back(std::move(Fn));
-
-    const int64_t SelBen = benefit(C.Len, Selected.size());
-    if (StoreOut) {
-      cache::CachedSelection CS;
-      CS.SeqLen = C.Len;
-      CS.Benefit = static_cast<uint64_t>(SelBen);
-      CS.Positions = Selected;
-      StoreOut->Funcs.push_back(std::move(CS));
-    }
-
-    for (uint32_t P : Selected) {
-      const PosInfo &PI = Pos[P];
-      OccsByMethod[PI.MethodRow].push_back({PI.Word, C.Len, FuncId});
-      for (uint32_t Q = P; Q < P + C.Len; ++Q)
-        Claimed[Q] = true;
-    }
-    ++Stats.SequencesOutlined;
-    Stats.OccurrencesReplaced += Selected.size();
-    Stats.InsnsRemoved += static_cast<uint64_t>(SelBen);
-  }
-  Stats.SelectSeconds += EnumerateSeconds + ClaimTimer.seconds();
-
-  // Hand the rewrites to Phase C instead of executing them here: every
-  // method's rewrite is independent, so the fan-out parallelizes across ALL
-  // groups' methods at once (and runs even when Partitions == 1).
-  for (std::size_t GI = 0; GI < Rows.size(); ++GI)
-    if (!OccsByMethod[GI].empty())
-      WorkOut.push_back({Rows[GI], std::move(OccsByMethod[GI])});
-}
-
-/// Replays one group's cached canonical selection instead of running
-/// detection (Phase B on a warm build). The cache is never an authority:
-/// every invariant the cold selection path establishes is re-validated
-/// against the LIVE methods — lengths inside [MinSeqLen, MaxSeqLen],
-/// positions strictly ascending and inside one method, no separators or
-/// claimed words in any occurrence, no interior branch targets, identical
-/// words across all occurrences of a function, and the recorded benefit
-/// matching the model. ANY violation rejects the replay with all outputs
-/// untouched and the caller falls back to detection, so a stale or corrupt
-/// entry can cost time but can never change output. On success the
-/// emission order (and hence OutlinedFunc id assignment) is exactly the
-/// cold path's, which is what keeps warm builds byte-identical.
-bool replayGroup(const std::vector<CompiledMethod> &Methods,
-                 const std::vector<std::size_t> &Rows,
-                 const std::vector<const MethodPrep *> &Preps,
-                 uint32_t GroupIdx, const OutlinerOptions &Opts,
-                 const cache::GroupSelections &Cached,
-                 std::vector<OutlinedFunc> &FuncsOut,
-                 std::vector<RewriteWork> &WorkOut, OutlineStats &Stats) {
-  if (Cached.Funcs.size() >= (1u << 20))
-    return false;
-
-  // Re-assemble the position provenance only (no symbols, no suffix
-  // structure): separator-ness and word content are read through Pos.
-  std::size_t TotalWords = 0;
-  for (std::size_t Row : Rows)
-    TotalWords += Methods[Row].Code.size() + 1;
-  std::vector<PosInfo> Pos;
-  Pos.reserve(TotalWords);
-  for (std::size_t GI = 0; GI < Rows.size(); ++GI) {
-    const CompiledMethod &M = Methods[Rows[GI]];
-    for (std::size_t W = 0; W < M.Code.size(); ++W)
-      Pos.push_back({static_cast<int32_t>(GI), static_cast<uint32_t>(W)});
-    Pos.push_back({-1, 0});
-  }
-  const std::size_t TextSize = Pos.size();
-
-  std::vector<bool> Claimed(TextSize, false);
-  std::vector<OutlinedFunc> Funcs;
-  std::vector<std::vector<MethodOcc>> OccsByMethod(Rows.size());
-  std::size_t SequencesOutlined = 0, OccurrencesReplaced = 0;
-  uint64_t InsnsRemoved = 0;
-  uint32_t LocalFuncs = 0;
-
-  for (const cache::CachedSelection &S : Cached.Funcs) {
-    if (S.SeqLen < Opts.MinSeqLen || S.SeqLen > Opts.MaxSeqLen)
-      return false;
-    if (S.Positions.empty() || !isProfitable(S.SeqLen, S.Positions.size()))
-      return false;
-    if (S.Benefit !=
-        static_cast<uint64_t>(benefit(S.SeqLen, S.Positions.size())))
-      return false;
-
-    const uint32_t P0 = S.Positions.front();
-    if (P0 >= TextSize || Pos[P0].MethodRow < 0)
-      return false;
-    const PosInfo &PI0 = Pos[P0];
-    uint32_t LastEnd = 0;
-    for (std::size_t J = 0; J < S.Positions.size(); ++J) {
-      const uint32_t P = S.Positions[J];
-      if (J > 0 && P < LastEnd)
-        return false; // Overlap inside the selection.
-      if (P >= TextSize || TextSize - P < S.SeqLen)
-        return false;
-      const PosInfo &PI = Pos[P];
-      if (PI.MethodRow < 0)
-        return false;
-      const MethodPrep &Prep = *Preps[PI.MethodRow];
-      const CompiledMethod &M = Methods[Rows[PI.MethodRow]];
-      const CompiledMethod &M0 = Methods[Rows[PI0.MethodRow]];
-      for (uint32_t K = 0; K < S.SeqLen; ++K) {
-        const PosInfo &QI = Pos[P + K];
-        if (QI.MethodRow != PI.MethodRow)
-          return false; // Crosses a method boundary.
-        if (Prep.Sep[PI.Word + K] || Claimed[P + K])
-          return false;
-        if (K > 0 && Prep.Targets[PI.Word + K])
-          return false; // Interior branch target.
-        if (M.Code[PI.Word + K] != M0.Code[PI0.Word + K])
-          return false; // Occurrences no longer share content.
-      }
-      LastEnd = P + S.SeqLen;
-    }
-
-    const uint32_t FuncId = (GroupIdx << 20) | LocalFuncs++;
-    OutlinedFunc Fn;
-    Fn.Id = FuncId;
-    Fn.SeqLength = S.SeqLen;
-    Fn.Occurrences = static_cast<uint32_t>(S.Positions.size());
-    const CompiledMethod &M0 = Methods[Rows[PI0.MethodRow]];
-    for (uint32_t K = 0; K < S.SeqLen; ++K)
-      Fn.Code.push_back(M0.Code[PI0.Word + K]);
-    a64::Insn RetBr{.Op = a64::Opcode::Br};
-    RetBr.Rn = a64::LR;
-    Fn.Code.push_back(a64::encode(RetBr));
-    Funcs.push_back(std::move(Fn));
-
-    for (uint32_t P : S.Positions) {
-      const PosInfo &PI = Pos[P];
-      OccsByMethod[PI.MethodRow].push_back({PI.Word, S.SeqLen, FuncId});
-      for (uint32_t Q = P; Q < P + S.SeqLen; ++Q)
-        Claimed[Q] = true;
-    }
-    ++SequencesOutlined;
-    OccurrencesReplaced += S.Positions.size();
-    InsnsRemoved += S.Benefit;
-  }
-
-  // All-or-nothing commit: nothing above touched the output parameters.
-  Stats.SymbolCount += TextSize;
-  Stats.SequencesOutlined += SequencesOutlined;
-  Stats.OccurrencesReplaced += OccurrencesReplaced;
-  Stats.InsnsRemoved += InsnsRemoved;
-  FuncsOut = std::move(Funcs);
-  for (std::size_t GI = 0; GI < Rows.size(); ++GI)
-    if (!OccsByMethod[GI].empty())
-      WorkOut.push_back({Rows[GI], std::move(OccsByMethod[GI])});
-  return true;
+  cache::GroupSelections Sel =
+      claimCandidates(Sa, Ranked, Seq.InteriorForbidden);
+  Stats.SelectSeconds += RankSeconds + ClaimTimer.seconds();
+  return Sel;
 }
 
 } // namespace
@@ -549,7 +194,8 @@ bool replayGroup(const std::vector<CompiledMethod> &Methods,
 Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
                                       const OutlinerOptions &Opts) {
   const bool Windowed = Opts.MemoryBudgetBytes > 0;
-  if ((Opts.Partitions == 0 && !Windowed) || Opts.MinSeqLen < 2 ||
+  if ((Opts.Partitions == 0 && !Windowed) ||
+      Opts.Partitions > MaxPartitions || Opts.MinSeqLen < 2 ||
       Opts.MaxSeqLen < Opts.MinSeqLen)
     return makeError("runLtbo: invalid options");
 
@@ -595,8 +241,8 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     Pool = nullptr; // Inline path; a 1-worker pool adds only handshakes.
 
   // Phase A: per-method preprocessing — side-info validation first, then
-  // separators + branch targets, the decode-heavy analysis — in parallel
-  // over ALL candidates, before any sequence is assembled. Each candidate
+  // separators, the decode-heavy analysis — in parallel over ALL
+  // candidates, before any sequence is assembled. Each candidate
   // writes only its own slot, and the degradation/error scan below walks
   // slots in candidate order afterwards, so rejections (and the strict-mode
   // error: the lowest candidate index's) are identical for any scheduling.
@@ -609,8 +255,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     P.Diag = codegen::validateSideInfo(M);
     if (P.Diag)
       return; // Invalid: never fed to detection, links verbatim.
-    P.Sep = computeSeparators(M, Hot);
-    P.Targets = computeBranchTargets(M);
+    P.Sep = computeSeparators(M, {.SlowPathsOnly = Hot});
     if (Opts.Cache)
       P.Content = cache::methodContentDigest(M);
   };
@@ -652,7 +297,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   // output. Partitions == 0 (auto, budget required) derives the smallest K
   // whose estimated per-group detect working set fits the budget — the
   // round-robin split is near-even in words, so TotalWords / K estimates a
-  // group. Capped at 2^12: group index occupies the FuncId bits above 20.
+  // group. Capped at MaxPartitions.
   uint32_t K = Opts.Partitions;
   if (K == 0) {
     uint64_t TotalWords = 0;
@@ -661,12 +306,15 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     uint64_t Need =
         (TotalWords * DetectBytesPerWord + Opts.MemoryBudgetBytes - 1) /
         Opts.MemoryBudgetBytes;
-    K = static_cast<uint32_t>(std::clamp<uint64_t>(Need, 1, 1u << 12));
+    K = static_cast<uint32_t>(std::clamp<uint64_t>(Need, 1, MaxPartitions));
   }
   Result.Stats.PartitionsUsed = K;
   std::vector<std::vector<std::size_t>> Groups(K);
-  for (std::size_t A = 0; A < Accepted.size(); ++A)
+  std::vector<std::size_t> GroupPositions(K, 0); // Words + one per method.
+  for (std::size_t A = 0; A < Accepted.size(); ++A) {
     Groups[A % K].push_back(Accepted[A]);
+    GroupPositions[A % K] += Methods[Candidates[Accepted[A]]].Code.size() + 1;
+  }
 
   // Incremental reuse: key each group by the content digests of its member
   // set (plus the options that shape detection; the hot-bit changes a
@@ -712,33 +360,41 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   // lives, never what is computed — output stays byte-identical.
   support::ArenaPool DetectArenas;
 
+  // One group, cold or warm: assemble its sequence (paper §3.3.2), then
+  // either replay a cached selection that passes validation (all or
+  // nothing, so a stale or corrupt entry can cost time but never change
+  // output) or detect and select afresh (storing the result when a cache is
+  // set). Both reach the outlined functions through the same commit, so a
+  // warm build is byte-identical to a cold one.
   auto RunOne = [&](std::size_t G) {
-    std::vector<std::size_t> Rows;
-    std::vector<const MethodPrep *> GroupPreps;
-    Rows.reserve(Groups[G].size());
-    GroupPreps.reserve(Groups[G].size());
-    for (std::size_t I : Groups[G]) {
-      Rows.push_back(Candidates[I]);
-      GroupPreps.push_back(&Preps[I]);
+    OutlineStats &St = GroupStats[G];
+    Timer BuildTimer;
+    Sequence Seq;
+    Seq.reserve(GroupPositions[G]);
+    for (std::size_t I : Groups[G])
+      Seq.append(Methods[Candidates[I]], Candidates[I], Preps[I].Sep,
+                 /*ForbidBranchTargets=*/true);
+    St.SymbolCount += Seq.Pos.size();
+
+    cache::GroupSelections Detected;
+    const cache::GroupSelections *Sel = GroupCached[G].get();
+    if (Sel && validateSelections(Seq, *Sel, Opts.MinSeqLen, Opts.MaxSeqLen)) {
+      ++St.GroupsReused;
+    } else {
+      ++St.GroupsDetected;
+      support::ArenaPool::Handle Scratch = DetectArenas.acquire();
+      Detected = detectGroup(Seq, Opts, St, Scratch.get(), BuildTimer);
+      St.DetectScratchBytes = Scratch->bytesReserved();
+      // Store even an empty selection: "this group outlines nothing" is as
+      // reusable as any other result.
+      if (Opts.Cache)
+        Opts.Cache->storeGroup(GroupKeys[G], Detected);
+      Sel = &Detected;
     }
-    if (GroupCached[G] &&
-        replayGroup(Methods, Rows, GroupPreps, static_cast<uint32_t>(G), Opts,
-                    *GroupCached[G], GroupFuncs[G], GroupWork[G],
-                    GroupStats[G])) {
-      ++GroupStats[G].GroupsReused;
-      return;
-    }
-    ++GroupStats[G].GroupsDetected;
-    cache::GroupSelections Store;
-    support::ArenaPool::Handle Scratch = DetectArenas.acquire();
-    runGroup(Methods, Rows, GroupPreps, static_cast<uint32_t>(G), Opts,
-             GroupFuncs[G], GroupWork[G], GroupStats[G],
-             Opts.Cache ? &Store : nullptr, Scratch.get());
-    GroupStats[G].DetectScratchBytes = Scratch->bytesReserved();
-    // Store even an empty selection: "this group outlines nothing" is as
-    // reusable as any other result.
-    if (Opts.Cache)
-      Opts.Cache->storeGroup(GroupKeys[G], Store);
+    Timer CommitTimer;
+    commitSelections(Methods, Seq, *Sel, static_cast<uint32_t>(G),
+                     GroupFuncs[G], GroupWork[G], St);
+    St.SelectSeconds += CommitTimer.seconds();
   };
 
   // Pack the non-empty groups, in ascending index order, into windows that
@@ -754,10 +410,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   for (uint32_t G = 0; G < K; ++G) {
     if (Groups[G].empty())
       continue;
-    uint64_t Words = 0;
-    for (std::size_t I : Groups[G])
-      Words += Methods[Candidates[I]].Code.size() + 1;
-    uint64_t Est = Words * DetectBytesPerWord;
+    uint64_t Est = GroupPositions[G] * DetectBytesPerWord;
     if (!Windows.empty() &&
         (!Windowed || CurBytes + Est <= Opts.MemoryBudgetBytes)) {
       Windows.back().push_back(G);

@@ -40,8 +40,8 @@
 /// Independent of the partition knob, the stage itself runs as a parallel
 /// three-phase pipeline whenever Threads > 1 (even with Partitions == 1):
 ///
-///   Phase A (parallel over methods): separator + branch-target
-///     preprocessing — the decode-heavy per-method analysis.
+///   Phase A (parallel over methods): separator marking — the
+///     decode-heavy per-method analysis.
 ///   Phase B (parallel over groups): sequence assembly, repeat detection,
 ///     and greedy candidate selection per group.
 ///   Phase C (parallel over methods): rewriteMethod fan-out — each selected
@@ -75,13 +75,18 @@ namespace core {
 /// them, and nothing reads them.
 enum class DetectorKind : uint8_t { SuffixArray };
 
+/// Largest partition count: an outlined function's id holds its group
+/// index above 20 local bits.
+inline constexpr uint32_t MaxPartitions = 1u << 12;
+
 /// LTBO.2 options.
 struct OutlinerOptions {
   uint32_t MinSeqLen = 2;  ///< Minimum candidate length (instructions).
   uint32_t MaxSeqLen = 64; ///< Maximum candidate length (instructions).
-  /// K detection groups (PlOpti when > 1). 0 = choose K automatically from
-  /// MemoryBudgetBytes (legal only when a budget is set): the smallest K
-  /// whose estimated per-group detect working set fits the budget.
+  /// K detection groups (PlOpti when > 1), at most MaxPartitions. 0 =
+  /// choose K automatically from MemoryBudgetBytes (legal only when a
+  /// budget is set): the smallest K whose estimated per-group detect
+  /// working set fits the budget.
   uint32_t Partitions = 1;
   /// Worker threads for the whole link stage: preprocessing, per-group
   /// detection/selection, and the rewrite fan-out all run on one pool of
@@ -148,7 +153,7 @@ struct OutlineStats {
   /// Sum of LCP-interval counts over all groups' suffix arrays (a suffix
   /// tree's internal-node count). Named for the paper's suffix tree.
   uint64_t TreeNodes = 0;
-  double PreprocessSeconds = 0; ///< Phase A: separators + branch targets.
+  double PreprocessSeconds = 0; ///< Phase A: side-info checks, separators.
   /// Suffix-array construction (sequence assembly included). Named for the
   /// paper's suffix-tree build.
   double BuildTreeSeconds = 0;

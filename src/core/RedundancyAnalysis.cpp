@@ -6,9 +6,7 @@
 
 #include "core/RedundancyAnalysis.h"
 
-#include "aarch64/Decoder.h"
-#include "core/BenefitModel.h"
-#include "suffixtree/SuffixArray.h"
+#include "core/Selection.h"
 
 #include <algorithm>
 
@@ -21,126 +19,37 @@ RedundancyReport core::analyzeRedundancy(
   RedundancyReport Report;
 
   // Step 1 (§2.2): map the binary code to a sequence of unsigned integers.
-  // Instruction words map to themselves; embedded data and method
-  // boundaries become unique separators so no "repeat" spans them.
-  std::vector<st::Symbol> Seq;
-  uint64_t SepCounter = 0;
-  for (const auto &M : Methods) {
-    std::vector<bool> IsSep(M.Code.size(), false);
-    for (const auto &D : M.Side.EmbeddedData)
-      for (uint32_t W = D.Offset / 4; W < (D.Offset + D.Size) / 4; ++W)
-        IsSep[W] = true;
-    if (Opts.SeparateAtTerminators)
-      for (uint32_t T : M.Side.TerminatorOffsets)
-        IsSep[T / 4] = true;
-    if (Opts.SeparateAtPcRel)
-      for (const auto &R : M.Side.PcRelRecords)
-        IsSep[R.InsnOffset / 4] = true;
-    if (Opts.SeparateAtLrSensitive) {
-      std::vector<bool> IsData(M.Code.size(), false);
-      for (const auto &D : M.Side.EmbeddedData)
-        for (uint32_t W = D.Offset / 4; W < (D.Offset + D.Size) / 4; ++W)
-          IsData[W] = true;
-      for (std::size_t W = 0; W < M.Code.size(); ++W) {
-        if (IsData[W])
-          continue;
-        auto I = a64::decode(M.Code[W]);
-        if (!I)
-          continue;
-        bool Lr = I->Op == a64::Opcode::Bl || I->Op == a64::Opcode::Blr ||
-                  I->Rd == a64::LR || I->Rn == a64::LR ||
-                  I->Rm == a64::LR || I->Ra == a64::LR;
-        if (Lr)
-          IsSep[W] = true;
-      }
-    }
-    for (std::size_t W = 0; W < M.Code.size(); ++W) {
-      if (IsSep[W]) {
-        Seq.push_back(st::SeparatorBase + SepCounter++);
-      } else {
-        Seq.push_back(st::Symbol(M.Code[W]));
-        ++Report.TotalInsns;
-      }
-    }
-    Seq.push_back(st::SeparatorBase + SepCounter++);
-  }
+  // Instruction words map to themselves; embedded data, method boundaries
+  // and whatever the chosen rules mark become unique separators so no
+  // "repeat" spans them.
+  const SeparatorRules Rules{.Terminators = Opts.SeparateAtTerminators,
+                             .PcRel = Opts.SeparateAtPcRel,
+                             .LrSensitive = Opts.SeparateAtLrSensitive};
+  Sequence Seq;
+  for (std::size_t Row = 0; Row < Methods.size(); ++Row)
+    Seq.append(Methods[Row], Row, computeSeparators(Methods[Row], Rules),
+               /*ForbidBranchTargets=*/false);
+  for (st::Symbol S : Seq.Text)
+    Report.TotalInsns += S < st::SeparatorBase;
 
   // Steps 2+3 (§2.2): suffix array (LCP intervals are the suffix tree's
-  // internal nodes) and repetitive-sequence detection.
-  st::SuffixArray Sa(std::move(Seq));
+  // internal nodes) and repetitive-sequence detection. Step 4: estimate the
+  // saving with the Fig. 2 model through the outliner's own selector —
+  // greedy, without double counting (non-overlapping occurrences only).
+  st::SuffixArray Sa(std::move(Seq.Text));
+  const cache::GroupSelections Sel = claimCandidates(
+      Sa, rankCandidates(Sa, 2, Opts.MaxSeqLen), Seq.InteriorForbidden);
 
-  struct Cand {
-    int32_t Node;
-    uint32_t Len;
-    uint32_t First; ///< Earliest occurrence, for content-based ordering.
-    int64_t Ben;
-  };
-  std::vector<Cand> Cands;
-  Sa.forEachRepeat(2, Opts.MaxSeqLen, 2, [&](const st::RepeatInfo &R) {
-    int64_t Ben = benefit(R.Length, R.Count);
-    if (Ben > 0)
-      Cands.push_back({R.Node, R.Length, Sa.firstPositionOf(R.Node), Ben});
-  });
-  // Same content-based tie-break as the outliner ((first occurrence,
-  // length) names the sequence uniquely), so the estimate never depends on
-  // how the detector numbers its intervals.
-  std::sort(Cands.begin(), Cands.end(), [](const Cand &A, const Cand &B) {
-    if (A.Ben != B.Ben)
-      return A.Ben > B.Ben;
-    if (A.Len != B.Len)
-      return A.Len > B.Len;
-    return A.First < B.First;
-  });
-
-  // Step 4 (§2.2): estimate the saving with the Fig. 2 model, greedily and
-  // without double counting (non-overlapping occurrences only).
-  std::vector<bool> Claimed(Sa.textSize(), false);
   auto Text = Sa.text();
   std::vector<TopPattern> Patterns;
-
-  for (const Cand &C : Cands) {
-    uint32_t Taken = 0;
-    uint32_t LastEnd = 0;
-    uint32_t FirstPos = 0;
-    for (uint32_t P : Sa.positionsOf(C.Node)) {
-      if (Taken && P < LastEnd)
-        continue;
-      bool Ok = true;
-      for (uint32_t Q = P; Q < P + C.Len && Ok; ++Q)
-        Ok = !Claimed[Q];
-      if (!Ok)
-        continue;
-      if (!Taken)
-        FirstPos = P;
-      ++Taken;
-      LastEnd = P + C.Len;
-    }
-    if (!isProfitable(C.Len, Taken))
-      continue;
-    // Claim in a second pass (cheap; candidate lists are position-sorted).
-    uint32_t Reclaimed = 0;
-    LastEnd = 0;
-    for (uint32_t P : Sa.positionsOf(C.Node)) {
-      if (Reclaimed && P < LastEnd)
-        continue;
-      bool Ok = true;
-      for (uint32_t Q = P; Q < P + C.Len && Ok; ++Q)
-        Ok = !Claimed[Q];
-      if (!Ok)
-        continue;
-      for (uint32_t Q = P; Q < P + C.Len; ++Q)
-        Claimed[Q] = true;
-      ++Reclaimed;
-      LastEnd = P + C.Len;
-    }
-    Report.SavedInsns += static_cast<uint64_t>(benefit(C.Len, Taken));
-    Report.RepeatsByLength[C.Len] += Taken;
-
+  for (const cache::CachedSelection &S : Sel.Funcs) {
+    Report.SavedInsns += S.Benefit;
+    Report.RepeatsByLength[S.SeqLen] += S.Positions.size();
     TopPattern TP;
-    TP.Length = C.Len;
-    TP.Count = Taken;
-    for (uint32_t K = 0; K < C.Len; ++K)
-      TP.Words.push_back(static_cast<uint32_t>(Text[FirstPos + K]));
+    TP.Length = S.SeqLen;
+    TP.Count = static_cast<uint32_t>(S.Positions.size());
+    for (uint32_t K = 0; K < S.SeqLen; ++K)
+      TP.Words.push_back(static_cast<uint32_t>(Text[S.Positions[0] + K]));
     Patterns.push_back(std::move(TP));
   }
 

@@ -13,10 +13,11 @@
 /// potential), Figure 3 (length vs. repeats), and Observation 3 (the
 /// hottest ART-specific patterns).
 ///
-/// Unlike the real outliner, the estimate deliberately ignores the
-/// correctness restrictions (LR-sensitivity, PC-relative operands, branch
-/// targets) — it is an upper bound on what outlining could save, which is
-/// why Table 4's achieved reductions come in below Table 1's estimates.
+/// Separator marking, ranking and greedy claiming are the outliner's own
+/// (core/Selection.h). By default the estimate ignores the correctness
+/// restrictions (LR-sensitivity, PC-relative operands, branch targets) — it
+/// is an upper bound on what outlining could save, which is why Table 4's
+/// achieved reductions come in below Table 1's estimates.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,8 +34,8 @@ namespace calibro {
 namespace core {
 
 /// Analysis options. The three Separate* flags switch on, one by one, the
-/// correctness rules the real outliner must obey; with all of them set the
-/// estimate approximates what LTBO can legally claim. The raw §2.2
+/// outliner's own separator rules (core::SeparatorRules); with all of them
+/// set the estimate approximates what LTBO can legally claim. The raw §2.2
 /// estimate keeps them all off to measure gross redundancy.
 struct AnalysisOptions {
   uint32_t MaxSeqLen = 256; ///< Longest sequence considered.
@@ -46,7 +47,7 @@ struct AnalysisOptions {
   /// into a shared copy.
   bool SeparateAtPcRel = false;
   /// Instructions reading or writing x30 would corrupt the outlined
-  /// function's return address.
+  /// function's return address (undecodable words are separated too).
   bool SeparateAtLrSensitive = false;
 };
 

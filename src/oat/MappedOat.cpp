@@ -8,8 +8,6 @@
 
 #include "oat/Serialize.h"
 
-#include <cstdint>
-
 using namespace calibro;
 using namespace calibro::oat;
 
@@ -22,17 +20,4 @@ Expected<MappedOat> MappedOat::open(const std::string &Path) {
 
 Expected<OatFile> MappedOat::parse() const {
   return deserializeOat(Map.bytes());
-}
-
-Expected<std::span<const uint32_t>> MappedOat::textWords() const {
-  auto Payload = sectionPayload(Map.bytes(), ".text");
-  if (!Payload)
-    return Payload.takeError();
-  if (Payload->size() % 4 != 0)
-    return makeError(ErrCat::BadFormat, ".text size not word-aligned");
-  if (reinterpret_cast<uintptr_t>(Payload->data()) % alignof(uint32_t) != 0)
-    return makeError(ErrCat::BadFormat, ".text payload misaligned");
-  return std::span<const uint32_t>(
-      reinterpret_cast<const uint32_t *>(Payload->data()),
-      Payload->size() / 4);
 }

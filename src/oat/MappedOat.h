@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The zero-copy OAT read path (DESIGN.md §9): open() memory-maps the file
-/// and parse() runs deserializeOat straight over the mapping through
-/// std::span — the file's image is never copied into a heap vector first.
-/// The OatFile that parse() returns owns its own decoded structures, so it
-/// outlives the mapping; only the raw-bytes view (bytes()) is tied to the
-/// MappedOat's lifetime.
+/// and parse() runs deserializeOat — the one ELF walker — straight over the
+/// mapping through std::span, so the file's image is never copied into a
+/// heap vector first. The OatFile that parse() returns owns its decoded
+/// structures and outlives the mapping; only the raw-bytes view (bytes())
+/// is tied to the MappedOat's lifetime.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,16 +46,6 @@ public:
   /// the mapping, including full structural validation). The result is
   /// independent of this object's lifetime.
   Expected<OatFile> parse() const;
-
-  /// The .text payload as instruction words, straight out of the mapping —
-  /// no copy, no heap vector, no full parse. This is what lets a
-  /// memory-budgeted reader (or the windowed outliner's detectors, via
-  /// their view constructors) walk an image's code without ever holding a
-  /// private duplicate of it. Valid while this object lives. Fails on
-  /// structural corruption, a missing .text, a size that is not a whole
-  /// number of words, or a payload the serializer's alignment guarantee
-  /// does not hold for.
-  Expected<std::span<const uint32_t>> textWords() const;
 
 private:
   explicit MappedOat(support::MappedFile M) : Map(std::move(M)) {}

@@ -537,77 +537,6 @@ Expected<OatFile> oat::deserializeOat(std::span<const uint8_t> Bytes) {
   return O;
 }
 
-Expected<std::span<const uint8_t>>
-oat::sectionPayload(std::span<const uint8_t> Bytes, std::string_view Name) {
-  ByteReader R(Bytes);
-  uint8_t Ident[16];
-  if (auto E = R.bytes(Ident, 16))
-    return E;
-  if (Ident[0] != 0x7f || Ident[1] != 'E' || Ident[2] != 'L' ||
-      Ident[3] != 'F')
-    return makeError(ErrCat::BadFormat, "not an ELF file");
-  if (Ident[4] != 2 || Ident[5] != 1)
-    return makeError(ErrCat::BadFormat, "not a little-endian ELF64");
-  if (auto E = R.seek(0x28)) // e_shoff
-    return E;
-  READ_OR_RETURN(Shoff, R.u64());
-  if (auto E = R.seek(0x3a)) // e_shentsize
-    return E;
-  READ_OR_RETURN(Shentsize, R.u16());
-  if (Shentsize != SectionHeaderSize)
-    return makeError(ErrCat::BadFormat, "unexpected section header size");
-  READ_OR_RETURN(Shnum, R.u16());
-  READ_OR_RETURN(Shstrndx, R.u16());
-  if (Shnum == 0 || Shstrndx >= Shnum)
-    return makeError(ErrCat::BadFormat, "bad section header table shape");
-  if (Shoff > Bytes.size() ||
-      uint64_t(Shnum) * SectionHeaderSize > Bytes.size() - Shoff)
-    return makeError(ErrCat::BadFormat, "section header table out of bounds");
-
-  // One header read: sh_name, sh_offset, sh_size (bounds-checked).
-  struct Sect {
-    uint32_t NameOff;
-    uint64_t Off, Size;
-  };
-  auto readSect = [&](uint16_t S) -> Expected<Sect> {
-    if (auto E = R.seek(static_cast<std::size_t>(Shoff) +
-                        std::size_t(S) * SectionHeaderSize))
-      return E;
-    READ_OR_RETURN(NameOff, R.u32());
-    if (auto E = R.seek(static_cast<std::size_t>(Shoff) +
-                        std::size_t(S) * SectionHeaderSize + 24))
-      return E;
-    READ_OR_RETURN(Off, R.u64());
-    READ_OR_RETURN(Size, R.u64());
-    if (Off > Bytes.size() || Size > Bytes.size() - Off)
-      return makeError(ErrCat::BadFormat, "section payload out of bounds");
-    return Sect{NameOff, Off, Size};
-  };
-
-  auto Tab = readSect(Shstrndx);
-  if (!Tab)
-    return Tab.takeError();
-  for (uint16_t S = 0; S < Shnum; ++S) {
-    auto Sec = readSect(S);
-    if (!Sec)
-      return Sec.takeError();
-    std::string_view Want = Name;
-    uint64_t P = Tab->Off + Sec->NameOff;
-    while (!Want.empty() && P < Tab->Off + Tab->Size &&
-           Bytes[static_cast<std::size_t>(P)] ==
-               static_cast<uint8_t>(Want.front())) {
-      Want.remove_prefix(1);
-      ++P;
-    }
-    if (Want.empty() && P < Tab->Off + Tab->Size &&
-        Bytes[static_cast<std::size_t>(P)] == 0)
-      return Bytes.subspan(static_cast<std::size_t>(Sec->Off),
-                           static_cast<std::size_t>(Sec->Size));
-  }
-  return makeError(ErrCat::BadFormat,
-                   "no section named '" + std::string(Name) + "'");
-}
-
 Error oat::writeOatFile(const OatFile &O, const std::string &Path) {
   std::vector<uint8_t> Bytes;
   serializeOat(O, Bytes);

@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 namespace calibro {
@@ -65,16 +64,6 @@ std::vector<uint8_t> serializeOat(const OatFile &O);
 /// Parses an ELF64 OAT image. Fails with a message on any structural
 /// corruption (bad magic, truncated sections, version mismatch).
 Expected<OatFile> deserializeOat(std::span<const uint8_t> Bytes);
-
-/// Locates section \p Name in the ELF64 image \p Bytes and returns a view
-/// of its payload WITHIN \p Bytes — no copy, no full parse, no payload
-/// decoding. The minimal validated walk (ident, section header table,
-/// per-section bounds) is the same one deserializeOat performs, so any
-/// image it accepts this accepts. The view aliases \p Bytes: it is valid
-/// exactly as long as the caller's storage (e.g. a MappedOat's mapping).
-/// Fails on structural corruption or when no such section exists.
-Expected<std::span<const uint8_t>>
-sectionPayload(std::span<const uint8_t> Bytes, std::string_view Name);
 
 /// File convenience wrappers.
 Error writeOatFile(const OatFile &O, const std::string &Path);

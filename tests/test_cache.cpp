@@ -71,6 +71,14 @@ core::CalibroOptions cacheOpts(const std::string &Dir) {
   return Opts;
 }
 
+/// Content digest of each compiled method, in row order.
+std::vector<cache::Digest> contentDigests(const core::CompiledApp &C) {
+  std::vector<cache::Digest> Out;
+  for (const auto &M : C.Methods)
+    Out.push_back(cache::methodContentDigest(M));
+  return Out;
+}
+
 /// Bumps the first ConstInt immediate of the first outlining-candidate
 /// method (non-native, no switch — so it stays in its LTBO group), and
 /// returns that method's global index.
@@ -148,7 +156,6 @@ TEST(CacheStore, MethodBlobRoundtripAndAudit) {
   ASSERT_TRUE(bool(Compiled)) << Compiled.message();
   EXPECT_EQ(Compiled->Stats.CacheMisses, App.numMethods());
   EXPECT_EQ(Compiled->Stats.CacheHits, 0u);
-  EXPECT_EQ(Compiled->MethodDigests.size(), Compiled->Methods.size());
 
   // A second handle on the same store must return entries that compare
   // equal, field for field, to what the compiler just produced.
@@ -184,7 +191,7 @@ TEST(CacheWarm, WarmRebuildIsByteIdenticalAndSkipsWork) {
   // Cold: populates the store, and caching itself must not change the image.
   auto ColdC = core::compileApp(App, Opts);
   ASSERT_TRUE(bool(ColdC)) << ColdC.message();
-  const std::vector<cache::Digest> ColdDigests = ColdC->MethodDigests;
+  const std::vector<cache::Digest> ColdDigests = contentDigests(*ColdC);
   auto Cold = core::linkApp(std::move(*ColdC), Opts);
   ASSERT_TRUE(bool(Cold)) << Cold.message();
   EXPECT_EQ(oat::serializeOat(Cold->Oat), RefBytes);
@@ -198,7 +205,7 @@ TEST(CacheWarm, WarmRebuildIsByteIdenticalAndSkipsWork) {
   ASSERT_TRUE(bool(WarmC)) << WarmC.message();
   EXPECT_EQ(WarmC->Stats.CacheHits, App.numMethods());
   EXPECT_EQ(WarmC->Stats.CacheMisses, 0u);
-  EXPECT_EQ(WarmC->MethodDigests, ColdDigests);
+  EXPECT_EQ(contentDigests(*WarmC), ColdDigests);
   auto Warm = core::linkApp(std::move(*WarmC), Opts);
   ASSERT_TRUE(bool(Warm)) << Warm.message();
   EXPECT_EQ(Warm->Stats.Ltbo.GroupsReused, NumGroups);
@@ -224,7 +231,7 @@ TEST(CacheWarm, SingleMethodEditInvalidatesExactlyItsEntryAndGroup) {
 
   auto ColdC = core::compileApp(App, Opts);
   ASSERT_TRUE(bool(ColdC)) << ColdC.message();
-  const std::vector<cache::Digest> ColdDigests = ColdC->MethodDigests;
+  const std::vector<cache::Digest> ColdDigests = contentDigests(*ColdC);
   auto Cold = core::linkApp(std::move(*ColdC), Opts);
   ASSERT_TRUE(bool(Cold)) << Cold.message();
   const std::size_t NumGroups = Cold->Stats.Ltbo.GroupsDetected;
@@ -247,14 +254,15 @@ TEST(CacheWarm, SingleMethodEditInvalidatesExactlyItsEntryAndGroup) {
 
   // The recompiled method's content really changed; everything else is
   // digest-identical to the cold build.
-  ASSERT_EQ(WarmC->MethodDigests.size(), ColdDigests.size());
+  const std::vector<cache::Digest> WarmDigests = contentDigests(*WarmC);
+  ASSERT_EQ(WarmDigests.size(), ColdDigests.size());
   std::size_t Changed = 0;
   for (std::size_t I = 0; I < ColdDigests.size(); ++I) {
     if (WarmC->Methods[I].MethodIdx == *EditedIdx) {
-      EXPECT_FALSE(WarmC->MethodDigests[I] == ColdDigests[I]);
+      EXPECT_FALSE(WarmDigests[I] == ColdDigests[I]);
       ++Changed;
     } else {
-      EXPECT_TRUE(WarmC->MethodDigests[I] == ColdDigests[I]);
+      EXPECT_TRUE(WarmDigests[I] == ColdDigests[I]);
     }
   }
   EXPECT_EQ(Changed, 1u);

@@ -10,10 +10,13 @@
 #include "core/BenefitModel.h"
 #include "core/Outliner.h"
 #include "core/RedundancyAnalysis.h"
+#include "core/Selection.h"
 #include "hir/HGraph.h"
+#include "hir/Passes.h"
 #include "oat/Linker.h"
 #include "sim/Simulator.h"
 #include "verify/OatVerifier.h"
+#include "workload/Workload.h"
 
 #include <gtest/gtest.h>
 
@@ -362,6 +365,16 @@ TEST(Outliner, RejectsBadOptions) {
   auto R2 = runLtbo(None, Bad2);
   EXPECT_FALSE(bool(R2));
   consumeError(R2.takeError());
+
+  // Group indices above MaxPartitions would collide in outlined-function
+  // ids.
+  OutlinerOptions Bad3;
+  Bad3.Partitions = MaxPartitions + 1;
+  auto R3 = runLtbo(None, Bad3);
+  EXPECT_FALSE(bool(R3));
+  consumeError(R3.takeError());
+  Bad3.Partitions = MaxPartitions;
+  EXPECT_TRUE(bool(runLtbo(None, Bad3)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -677,6 +690,257 @@ TEST(RedundancyAnalysis, TerminatorSeparationLowersEstimate) {
   auto A = analyzeRedundancy(Compiled, Plain);
   auto B = analyzeRedundancy(Compiled, Separated);
   EXPECT_GE(A.EstimatedReductionRatio, B.EstimatedReductionRatio);
+}
+
+// --- The shared selector (core/Selection.h). Each method below is one
+// occurrence: assembly follows every method with a unique separator.
+
+CompiledMethod wordsMethod(std::vector<uint32_t> Code) {
+  CompiledMethod M;
+  M.Code = std::move(Code);
+  return M;
+}
+
+Sequence assemble(const std::vector<CompiledMethod> &Ms) {
+  Sequence S;
+  for (std::size_t I = 0; I < Ms.size(); ++I)
+    S.append(Ms[I], I, std::vector<bool>(Ms[I].Code.size(), false),
+             /*ForbidBranchTargets=*/true);
+  return S;
+}
+
+/// The ranked candidate of length \p Len first occurring at \p First.
+Candidate rankedAt(const std::vector<Candidate> &Ranked, uint32_t Len,
+                   uint32_t First) {
+  for (const Candidate &C : Ranked)
+    if (C.Len == Len && C.First == First)
+      return C;
+  ADD_FAILURE() << "no candidate of length " << Len << " at " << First;
+  return {};
+}
+
+TEST(Selection, RanksByBenefitThenLengthThenFirstOccurrence) {
+  // B = {20,21,22} occurs first; C = {10,11,12} sorts before it
+  // lexicographically (so interval numbering would put C first) but
+  // occurs later. Both have A's benefit (2) at a shorter length; D has
+  // the highest benefit at the shortest length.
+  const std::vector<uint32_t> A = {40, 41, 42, 43, 44}, B = {20, 21, 22},
+                              C = {10, 11, 12}, D = {30, 31};
+  std::vector<CompiledMethod> Ms;
+  for (const auto *W : {&B, &A, &C, &B, &C, &A, &B, &C, &D, &D, &D, &D, &D,
+                        &D})
+    Ms.push_back(wordsMethod(*W));
+  Sequence S = assemble(Ms);
+  st::SuffixArray Sa(S.Text);
+
+  std::vector<Candidate> Ranked = rankCandidates(Sa, 2, 64);
+  struct Want {
+    uint32_t Len, First;
+    int64_t Benefit;
+  };
+  const std::vector<Want> Expected = {
+      {2, 36, 3}, // D: benefit(2, 6)
+      {5, 4, 2},  // A: benefit(5, 2), longer than B and C
+      {3, 0, 2},  // B: benefit(3, 3), first occurrence 0
+      {3, 10, 2}, // C: benefit(3, 3), first occurrence 10
+      {4, 5, 1},  // A's suffix; its prefix is no LCP interval (always
+                  // followed by 44), so it is never a candidate.
+  };
+  ASSERT_EQ(Ranked.size(), Expected.size());
+  for (std::size_t I = 0; I < Expected.size(); ++I) {
+    EXPECT_EQ(Ranked[I].Len, Expected[I].Len) << I;
+    EXPECT_EQ(Ranked[I].First, Expected[I].First) << I;
+    EXPECT_EQ(Ranked[I].Benefit, Expected[I].Benefit) << I;
+  }
+}
+
+TEST(Selection, KeepsNonOverlappingOccurrencesOfOneCandidate) {
+  // Ten equal words: "7 7" occurs at 0..8, overlapping its neighbours.
+  Sequence S = assemble({wordsMethod(std::vector<uint32_t>(10, 7))});
+  st::SuffixArray Sa(S.Text);
+  const Candidate Pair = rankedAt(rankCandidates(Sa, 2, 64), 2, 0);
+
+  cache::GroupSelections Sel = claimCandidates(Sa, {Pair}, S.InteriorForbidden);
+  ASSERT_EQ(Sel.Funcs.size(), 1u);
+  EXPECT_EQ(Sel.Funcs[0].SeqLen, 2u);
+  EXPECT_EQ(Sel.Funcs[0].Positions, (std::vector<uint32_t>{0, 2, 4, 6, 8}));
+  EXPECT_EQ(Sel.Funcs[0].Benefit, static_cast<uint64_t>(benefit(2, 5)));
+}
+
+TEST(Selection, SkipsOccurrencesAnEarlierSelectionClaimed) {
+  // X = {1..5} three times (at 0, 6, 12), then {4,5} alone four times (at
+  // 18, 21, 24, 27). Y = {4,5} also occurs inside every X.
+  const std::vector<uint32_t> X = {1, 2, 3, 4, 5}, Tail = {4, 5};
+  Sequence S = assemble({wordsMethod(X), wordsMethod(X), wordsMethod(X),
+                         wordsMethod(Tail), wordsMethod(Tail),
+                         wordsMethod(Tail), wordsMethod(Tail)});
+  st::SuffixArray Sa(S.Text);
+  std::vector<Candidate> Ranked = rankCandidates(Sa, 2, 64);
+
+  cache::GroupSelections Sel = claimCandidates(
+      Sa, {rankedAt(Ranked, 5, 0), rankedAt(Ranked, 2, 3)},
+      S.InteriorForbidden);
+  ASSERT_EQ(Sel.Funcs.size(), 2u);
+  EXPECT_EQ(Sel.Funcs[0].Positions, (std::vector<uint32_t>{0, 6, 12}));
+  EXPECT_EQ(Sel.Funcs[1].Positions,
+            (std::vector<uint32_t>{18, 21, 24, 27}));
+  EXPECT_EQ(Sel.Funcs[1].Benefit, static_cast<uint64_t>(benefit(2, 4)));
+  EXPECT_TRUE(validateSelections(S, Sel, 2, 64));
+
+  // Replay validation rejects what claiming would never produce.
+  cache::GroupSelections Bad = Sel;
+  Bad.Funcs[1].Positions = {3, 18, 21, 24, 27}; // 3 is inside X at 0.
+  Bad.Funcs[1].Benefit = static_cast<uint64_t>(benefit(2, 5));
+  EXPECT_FALSE(validateSelections(S, Bad, 2, 64));
+  Bad = Sel;
+  Bad.Funcs[1].Benefit += 1; // Not the model's benefit.
+  EXPECT_FALSE(validateSelections(S, Bad, 2, 64));
+  EXPECT_FALSE(validateSelections(S, Sel, 2, 4)); // X is longer than 4.
+}
+
+TEST(Selection, RejectsOccurrencesWithAnInteriorBranchTarget) {
+  // Three copies of {1,2,3,4} at 0, 5, 10. A branch lands on word 2 of the
+  // second copy (inside it) and on word 0 of the third (its start, which is
+  // legal: the `bl` replacing it sits at that address).
+  std::vector<CompiledMethod> Ms(3, wordsMethod({1, 2, 3, 4}));
+  Ms[1].Side.PcRelRecords = {{0, 8}};
+  Ms[2].Side.PcRelRecords = {{12, 0}};
+  Sequence S = assemble(Ms);
+  EXPECT_TRUE(S.InteriorForbidden[7]);
+  EXPECT_TRUE(S.InteriorForbidden[10]);
+  st::SuffixArray Sa(S.Text);
+
+  cache::GroupSelections Sel = claimCandidates(
+      Sa, {rankedAt(rankCandidates(Sa, 2, 64), 4, 0)}, S.InteriorForbidden);
+  ASSERT_EQ(Sel.Funcs.size(), 1u);
+  EXPECT_EQ(Sel.Funcs[0].Positions, (std::vector<uint32_t>{0, 10}));
+
+  cache::GroupSelections All = Sel;
+  All.Funcs[0].Positions = {0, 5, 10};
+  All.Funcs[0].Benefit = static_cast<uint64_t>(benefit(4, 3));
+  EXPECT_FALSE(validateSelections(S, All, 2, 64));
+}
+
+TEST(Selection, UnprofitableCandidateClaimsNothing) {
+  // X = {1..5} at 0, 6, 12 and Z = {4,5,7,8} at 18, 23. Y = {4,5} occurs
+  // five times, but once X is taken only Z's two copies remain for it:
+  // benefit(2, 2) < 0, so Y must be skipped without claiming them, and Z
+  // (ranked after Y) still gets both.
+  const std::vector<uint32_t> X = {1, 2, 3, 4, 5}, Z = {4, 5, 7, 8};
+  Sequence S = assemble({wordsMethod(X), wordsMethod(X), wordsMethod(X),
+                         wordsMethod(Z), wordsMethod(Z)});
+  st::SuffixArray Sa(S.Text);
+  std::vector<Candidate> Ranked = rankCandidates(Sa, 2, 64);
+
+  cache::GroupSelections Sel = claimCandidates(
+      Sa,
+      {rankedAt(Ranked, 5, 0), rankedAt(Ranked, 2, 3),
+       rankedAt(Ranked, 4, 18)},
+      S.InteriorForbidden);
+  ASSERT_EQ(Sel.Funcs.size(), 2u);
+  EXPECT_EQ(Sel.Funcs[0].SeqLen, 5u);
+  EXPECT_EQ(Sel.Funcs[1].SeqLen, 4u);
+  EXPECT_EQ(Sel.Funcs[1].Positions, (std::vector<uint32_t>{18, 23}));
+}
+
+TEST(Selection, SeparatorRulesPickSubsets) {
+  const uint32_t Add = a64::encode(a64::Insn{.Op = a64::Opcode::AddImm});
+  a64::Insn UseLr{.Op = a64::Opcode::AddImm};
+  UseLr.Rn = a64::LR;
+  CompiledMethod M = wordsMethod(
+      {Add, Add, a64::encode(UseLr), 0xffffffffu, Add, Add, 0, 0});
+  ASSERT_FALSE(a64::decode(0xffffffffu));
+  M.Side.TerminatorOffsets = {4};
+  M.Side.PcRelRecords = {{20, 0}};
+  M.Side.EmbeddedData = {{24, 8}};
+  M.Side.SlowPathRanges = {{0, 8}};
+
+  auto Marked = [&](const SeparatorRules &R) {
+    std::vector<bool> Sep = computeSeparators(M, R);
+    std::vector<uint32_t> Words;
+    for (uint32_t W = 0; W < Sep.size(); ++W)
+      if (Sep[W])
+        Words.push_back(W);
+    return Words;
+  };
+  using V = std::vector<uint32_t>;
+  EXPECT_EQ(Marked({false, false, false, false}), (V{6, 7})); // Data only.
+  EXPECT_EQ(Marked({true, false, false, false}), (V{1, 6, 7}));
+  EXPECT_EQ(Marked({false, true, false, false}), (V{5, 6, 7}));
+  EXPECT_EQ(Marked({false, false, true, false}), (V{2, 3, 6, 7}));
+  EXPECT_EQ(Marked({}), (V{1, 2, 3, 5, 6, 7}));
+  EXPECT_EQ(Marked({.SlowPathsOnly = true}), (V{1, 2, 3, 4, 5, 6, 7}));
+}
+
+/// Baseline code of one seeded paper preset, as the §2.2 benches see it.
+std::vector<CompiledMethod> compilePreset(const std::string &Name,
+                                          double Scale) {
+  for (const auto &Spec : workload::paperApps(Scale)) {
+    if (Spec.Name != Name)
+      continue;
+    dex::App App = workload::makeApp(Spec);
+    CtoStubCache Cache;
+    CodeGenerator Gen({.EnableCto = false}, Cache);
+    std::vector<CompiledMethod> Out;
+    auto Pipeline = hir::defaultPipeline();
+    App.forEachMethod([&](const dex::Method &M) {
+      if (M.IsNative) {
+        Out.push_back(Gen.compileNative(M));
+        return;
+      }
+      auto G = hir::buildHGraph(M);
+      EXPECT_TRUE(bool(G)) << G.message();
+      hir::runPipeline(*G, Pipeline);
+      Out.push_back(Gen.compile(*G));
+    });
+    return Out;
+  }
+  ADD_FAILURE() << "no preset " << Name;
+  return {};
+}
+
+TEST(RedundancyAnalysis, CharacterizationOnSeededPreset) {
+  // Pinned output of the estimator on Toutiao at scale 0.1 (53 methods),
+  // raw and under every separator rule. Any change to separator marking,
+  // ranking or claiming moves these numbers.
+  auto Methods = compilePreset("Toutiao", 0.1);
+  ASSERT_EQ(Methods.size(), 53u);
+  AnalysisOptions Raw;
+  Raw.TopK = 3;
+  AnalysisOptions Ruled = Raw;
+  Ruled.SeparateAtTerminators = Ruled.SeparateAtPcRel =
+      Ruled.SeparateAtLrSensitive = true;
+
+  struct Pattern {
+    uint32_t Length, Count;
+    std::vector<uint32_t> Words;
+  };
+  auto Check = [&](const AnalysisOptions &O, uint64_t Total, uint64_t Saved,
+                   const std::map<uint32_t, uint64_t> &ByLength,
+                   const std::vector<Pattern> &Top) {
+    RedundancyReport R = analyzeRedundancy(Methods, O);
+    EXPECT_EQ(R.TotalInsns, Total);
+    EXPECT_EQ(R.SavedInsns, Saved);
+    EXPECT_EQ(R.RepeatsByLength, ByLength);
+    ASSERT_EQ(R.TopPatterns.size(), Top.size());
+    for (std::size_t I = 0; I < Top.size(); ++I) {
+      EXPECT_EQ(R.TopPatterns[I].Length, Top[I].Length) << I;
+      EXPECT_EQ(R.TopPatterns[I].Count, Top[I].Count) << I;
+      EXPECT_EQ(R.TopPatterns[I].Words, Top[I].Words) << I;
+    }
+  };
+  Check(Raw, 3927, 1221,
+        {{2, 235}, {3, 106}, {4, 29}, {5, 69}, {6, 71}, {8, 31}},
+        {{6, 52, {0xaa1503e0, 0x14000001, 0xa94157f4, 0xa9425ff6,
+                  0xa94367f8, 0xa9446ffa}},
+         {2, 47, {0xd280003a, 0xb500009a}},
+         {5, 42, {0xd2800041, 0xd2802002, 0xf9400e7e, 0xd63f03c0,
+                  0xd4200000}}});
+  Check(Ruled, 2769, 724, {{2, 162}, {3, 54}, {4, 74}, {5, 27}, {8, 31}},
+        {{4, 53, {0xa94157f4, 0xa9425ff6, 0xa94367f8, 0xa9446ffa}},
+         {2, 42, {0xd2800041, 0xd2802002}},
+         {8, 31, {0x910003fd, 0xa90157f4, 0xa9025ff6, 0xa90367f8,
+                  0xa9046ffa, 0xd1400bf0, 0xb940021f, 0xaa0103f4}}});
 }
 
 } // namespace

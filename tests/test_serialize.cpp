@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 
 using namespace calibro;
 
@@ -442,54 +441,6 @@ TEST(MappedOat, MissingFileFails) {
   auto M = oat::MappedOat::open(::testing::TempDir() + "/calibro_nope.oat");
   EXPECT_FALSE(bool(M));
   EXPECT_FALSE(M.message().empty());
-}
-
-TEST(SectionPayload, LocatesSectionsWithoutParsing) {
-  oat::OatFile O = buildSample();
-  auto Bytes = oat::serializeOat(O);
-
-  auto Text = oat::sectionPayload(Bytes, ".text");
-  ASSERT_TRUE(bool(Text)) << Text.message();
-  // The payload is a window INTO the serialized buffer, not a copy...
-  EXPECT_GE(Text->data(), Bytes.data());
-  EXPECT_LE(Text->data() + Text->size(), Bytes.data() + Bytes.size());
-  // ...holding exactly the image's .text words.
-  ASSERT_EQ(Text->size(), O.Text.size() * sizeof(uint32_t));
-  EXPECT_EQ(std::memcmp(Text->data(), O.Text.data(), Text->size()), 0);
-
-  auto Missing = oat::sectionPayload(Bytes, ".does-not-exist");
-  EXPECT_FALSE(bool(Missing));
-  consumeError(Missing.takeError());
-
-  // A header cut off mid-table must be a clean error, not a wild read.
-  for (std::size_t Keep : {0ul, 16ul, 64ul, Bytes.size() / 2}) {
-    auto Trunc = oat::sectionPayload(
-        std::span<const uint8_t>(Bytes.data(), Keep), ".text");
-    EXPECT_FALSE(bool(Trunc)) << "kept " << Keep;
-    consumeError(Trunc.takeError());
-  }
-}
-
-TEST(MappedOat, TextWordsAreZeroCopy) {
-  oat::OatFile O = buildSample();
-  std::string Path = ::testing::TempDir() + "/calibro_textwords.oat";
-  ASSERT_FALSE(bool(oat::writeOatFile(O, Path)));
-
-  auto Mapped = oat::MappedOat::open(Path);
-  ASSERT_TRUE(bool(Mapped)) << Mapped.message();
-  auto Words = Mapped->textWords();
-  ASSERT_TRUE(bool(Words)) << Words.message();
-
-  // The span aliases the mapping — no private copy of the text.
-  const uint8_t *Lo = Mapped->bytes().data();
-  const uint8_t *Hi = Lo + Mapped->size();
-  EXPECT_GE(reinterpret_cast<const uint8_t *>(Words->data()), Lo);
-  EXPECT_LE(reinterpret_cast<const uint8_t *>(Words->data() + Words->size()),
-            Hi);
-  ASSERT_EQ(Words->size(), O.Text.size());
-  for (std::size_t I = 0; I < O.Text.size(); ++I)
-    ASSERT_EQ((*Words)[I], O.Text[I]) << "word " << I;
-  std::remove(Path.c_str());
 }
 
 } // namespace

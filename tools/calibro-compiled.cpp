@@ -26,12 +26,13 @@
 
 #include "oat/Serialize.h"
 #include "service/CompileService.h"
+#include "support/NumericArgs.h"
 #include "workload/Workload.h"
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -43,12 +44,14 @@ using namespace calibro;
 
 namespace {
 
-void usage() {
+[[noreturn]] void usage() {
   std::fprintf(
       stderr,
       "usage: calibro-compiled [options] < jobs\n"
       "job lines (stdin): app=<name> scale=<s> [seed=<n>] [budget=<bytes>] "
       "out=<path>\n"
+      "  (scale: a number > 0; seed, budget and every numeric option: a\n"
+      "  decimal integer)\n"
       "service options:\n"
       "  --jobs <n>             concurrent jobs in flight (default 2)\n"
       "  --queue-depth <n>      max jobs waiting beyond the running ones;\n"
@@ -56,7 +59,8 @@ void usage() {
       "                         retried with backoff (default 8)\n"
       "  --threads <n>          workers of the one shared pool (0 = all)\n"
       "  --cache-dir <dir>      shared sharded build cache (empty = none)\n"
-      "  --cache-shards <n>     shard count of the shared cache (default 8)\n"
+      "  --cache-shards <n>     shard count of the shared cache, 1..256\n"
+      "                         (default 8)\n"
       "  --cache-budget <bytes> LRU byte budget of the shared cache (0 = "
       "unbounded)\n"
       "  --global-memory-budget <bytes>  bound the SUM of concurrent jobs'\n"
@@ -79,6 +83,16 @@ const char *next(int &I, int Argc, char **Argv) {
   return Argv[I];
 }
 
+/// The next argument as an integer in [Min, Max]; anything else is a usage
+/// error.
+uint64_t nextUnsigned(int &I, int Argc, char **Argv, uint64_t Min,
+                      uint64_t Max = UINT32_MAX) {
+  auto V = support::parseUnsigned(next(I, Argc, Argv), Min, Max);
+  if (!V)
+    usage();
+  return *V;
+}
+
 /// One parsed job line.
 struct JobLine {
   std::string AppName;
@@ -96,18 +110,23 @@ bool parseJobLine(const std::string &Line, JobLine &J) {
     if (Eq == std::string::npos)
       return false;
     std::string K = Tok.substr(0, Eq), V = Tok.substr(Eq + 1);
-    if (K == "app")
+    if (K == "app") {
       J.AppName = V;
-    else if (K == "scale")
-      J.Scale = std::atof(V.c_str());
-    else if (K == "seed")
-      J.Seed = std::strtoull(V.c_str(), nullptr, 0);
-    else if (K == "budget")
-      J.BudgetBytes = std::strtoull(V.c_str(), nullptr, 0);
-    else if (K == "out")
+    } else if (K == "scale") {
+      auto Scale = support::parsePositive(V);
+      if (!Scale)
+        return false;
+      J.Scale = *Scale;
+    } else if (K == "seed" || K == "budget") {
+      auto N = support::parseUnsigned(V);
+      if (!N)
+        return false;
+      (K == "seed" ? J.Seed : J.BudgetBytes) = *N;
+    } else if (K == "out") {
       J.Out = V;
-    else
+    } else {
       return false;
+    }
   }
   return !J.AppName.empty() && !J.Out.empty();
 }
@@ -123,20 +142,20 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
     if (A == "--jobs")
-      SOpts.JobSlots = std::atoi(next(I, argc, argv));
+      SOpts.JobSlots = nextUnsigned(I, argc, argv, 1);
     else if (A == "--queue-depth")
-      SOpts.QueueDepth = std::atoi(next(I, argc, argv));
+      SOpts.QueueDepth = nextUnsigned(I, argc, argv, 0);
     else if (A == "--threads")
-      SOpts.Threads = std::atoi(next(I, argc, argv));
+      SOpts.Threads = nextUnsigned(I, argc, argv, 0);
     else if (A == "--cache-dir")
       SOpts.CacheDir = next(I, argc, argv);
     else if (A == "--cache-shards")
-      SOpts.CacheShards = std::atoi(next(I, argc, argv));
+      SOpts.CacheShards = nextUnsigned(I, argc, argv, 1, 256);
     else if (A == "--cache-budget")
-      SOpts.CacheBudgetBytes = std::strtoull(next(I, argc, argv), nullptr, 0);
+      SOpts.CacheBudgetBytes = nextUnsigned(I, argc, argv, 0, UINT64_MAX);
     else if (A == "--global-memory-budget")
       SOpts.GlobalMemoryBudgetBytes =
-          std::strtoull(next(I, argc, argv), nullptr, 0);
+          nextUnsigned(I, argc, argv, 0, UINT64_MAX);
     else if (A == "--job-log")
       SOpts.JobLogPath = next(I, argc, argv);
     else if (A == "--cto")
@@ -144,12 +163,13 @@ int main(int argc, char **argv) {
     else if (A == "--ltbo")
       Build.EnableLtbo = true;
     else if (A == "--partitions") {
-      Build.LtboPartitions = std::atoi(next(I, argc, argv));
+      Build.LtboPartitions =
+          nextUnsigned(I, argc, argv, 1, core::MaxPartitions);
       ExplicitPartitions = true;
     } else if (A == "--min-len")
-      Build.MinSeqLen = std::atoi(next(I, argc, argv));
+      Build.MinSeqLen = nextUnsigned(I, argc, argv, 2);
     else if (A == "--max-len")
-      Build.MaxSeqLen = std::atoi(next(I, argc, argv));
+      Build.MaxSeqLen = nextUnsigned(I, argc, argv, 2);
     else if (A == "--verify")
       Build.VerifyOutput = true;
     else if (A == "--strict")
@@ -192,7 +212,7 @@ int main(int argc, char **argv) {
     JobLine J;
     if (!parseJobLine(Line, J)) {
       std::fprintf(stderr, "bad job line: %s\n", Line.c_str());
-      return 2;
+      usage();
     }
     workload::AppSpec Spec;
     bool Found = false;

@@ -17,28 +17,30 @@
 #include "core/Calibro.h"
 #include "oat/Serialize.h"
 #include "sim/Simulator.h"
+#include "support/NumericArgs.h"
 #include "workload/Workload.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 using namespace calibro;
 
 namespace {
 
-void usage() {
+[[noreturn]] void usage() {
   std::fprintf(
       stderr,
       "usage: calibro-dex2oat [options] -o <out.oat>\n"
       "  --app <name>       paper app preset (Toutiao..Wechat; default "
       "Wechat)\n"
-      "  --scale <s>        workload scale (default 0.5)\n"
+      "  --scale <s>        workload scale, a number > 0 (default 0.5)\n"
       "  --seed <n>         override the app seed\n"
       "  --cto              enable compilation-time outlining (paper 3.1)\n"
       "  --ltbo             enable link-time binary outlining (paper 3.3)\n"
-      "  --partitions <k>   K detection partitions (paper 3.4.1 PlOpti)\n"
+      "  --partitions <k>   K detection partitions, 1..4096 (paper 3.4.1\n"
+      "                     PlOpti)\n"
       "  --threads <n>      LTBO worker threads\n"
       "  --memory-budget <bytes>  bound LTBO's detection working set:\n"
       "                     detection runs in budget-sized windows; output\n"
@@ -55,7 +57,7 @@ void usage() {
       "                     profiled startups touch fewer code pages; arms\n"
       "                     only with a profile and a closed world\n"
       "  --no-layout        disable the layout stage\n"
-      "  --min-len/--max-len <n>  candidate length bounds\n"
+      "  --min-len/--max-len <n>  candidate length bounds (>= 2)\n"
       "  --verify           statically verify the linked image before\n"
       "                     writing it (whole-text decode + branch targets)\n"
       "  --strict           fail the build on the first method with invalid\n"
@@ -78,6 +80,24 @@ const char *next(int &I, int Argc, char **Argv) {
   return Argv[I];
 }
 
+/// The next argument as an integer in [Min, Max]; anything else is a usage
+/// error.
+uint64_t nextUnsigned(int &I, int Argc, char **Argv, uint64_t Min,
+                      uint64_t Max = UINT32_MAX) {
+  auto V = support::parseUnsigned(next(I, Argc, Argv), Min, Max);
+  if (!V)
+    usage();
+  return *V;
+}
+
+/// The next argument as a finite number > 0; anything else is a usage error.
+double nextPositive(int &I, int Argc, char **Argv) {
+  auto V = support::parsePositive(next(I, Argc, Argv));
+  if (!V)
+    usage();
+  return *V;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -96,24 +116,25 @@ int main(int argc, char **argv) {
     if (A == "--app")
       AppName = next(I, argc, argv);
     else if (A == "--scale")
-      Scale = std::atof(next(I, argc, argv));
+      Scale = nextPositive(I, argc, argv);
     else if (A == "--seed")
-      Seed = std::strtoull(next(I, argc, argv), nullptr, 0);
+      Seed = nextUnsigned(I, argc, argv, 0, UINT64_MAX);
     else if (A == "--cto")
       Opts.EnableCto = true;
     else if (A == "--ltbo")
       Opts.EnableLtbo = true;
     else if (A == "--partitions") {
-      Opts.LtboPartitions = std::atoi(next(I, argc, argv));
+      Opts.LtboPartitions =
+          nextUnsigned(I, argc, argv, 1, core::MaxPartitions);
       ExplicitPartitions = true;
     } else if (A == "--memory-budget")
-      Opts.MemoryBudgetBytes = std::strtoull(next(I, argc, argv), nullptr, 0);
+      Opts.MemoryBudgetBytes = nextUnsigned(I, argc, argv, 0, UINT64_MAX);
     else if (A == "--threads")
-      Opts.LtboThreads = std::atoi(next(I, argc, argv));
+      Opts.LtboThreads = nextUnsigned(I, argc, argv, 1);
     else if (A == "--min-len")
-      Opts.MinSeqLen = std::atoi(next(I, argc, argv));
+      Opts.MinSeqLen = nextUnsigned(I, argc, argv, 2);
     else if (A == "--max-len")
-      Opts.MaxSeqLen = std::atoi(next(I, argc, argv));
+      Opts.MaxSeqLen = nextUnsigned(I, argc, argv, 2);
     else if (A == "--hf" || A == "--profile")
       Hf = true;
     else if (A == "--layout")

@@ -14,6 +14,7 @@
 ///   calibro-oatdump --layout-order file.oat # final .text placement, page
 ///                                           # map and affinity-cut summary
 ///   calibro-oatdump --cache-audit <dir>     # audit a build-cache store
+///                                           # (or a daemon's sharded root)
 ///   calibro-oatdump --callgraph --app Wechat --dead-code
 ///                                           # compile the app spec and dump
 ///                                           # its call graph as JSON
@@ -23,18 +24,21 @@
 #include "aarch64/Decoder.h"
 #include "aarch64/PcRel.h"
 #include "analysis/CallGraph.h"
-#include "cache/BuildCache.h"
+#include "cache/ShardedCache.h"
 #include "codegen/SideInfoValidator.h"
 #include "core/Calibro.h"
 #include "oat/Dump.h"
 #include "oat/MappedOat.h"
 #include "oat/Serialize.h"
+#include "support/NumericArgs.h"
 #include "workload/Workload.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -285,12 +289,26 @@ int dumpLayoutOrder(const oat::OatFile &O, uint32_t PageSize) {
 /// checksum + decode + side-info validation a warm build would apply.
 /// Returns nonzero when any entry is corrupt.
 int cacheAudit(const char *Dir) {
-  auto C = cache::BuildCache::open(Dir);
-  if (!C) {
-    std::fprintf(stderr, "%s: %s\n", Dir, C.message().c_str());
-    return 1;
+  // A compile-daemon root holds shard stores (s00, s01, ...) and no entries
+  // of its own: audit the shards through the sharded front, which leaves
+  // the root unstamped. Anything else is one plain store.
+  std::unique_ptr<cache::BuildCache> C;
+  if (uint32_t Shards = cache::ShardedBuildCache::shardsIn(Dir)) {
+    auto Sharded = cache::ShardedBuildCache::open(Dir, Shards);
+    if (!Sharded) {
+      std::fprintf(stderr, "%s: %s\n", Dir, Sharded.message().c_str());
+      return 1;
+    }
+    C = std::move(*Sharded);
+  } else {
+    auto Plain = cache::BuildCache::open(Dir);
+    if (!Plain) {
+      std::fprintf(stderr, "%s: %s\n", Dir, Plain.message().c_str());
+      return 1;
+    }
+    C = std::move(*Plain);
   }
-  cache::CacheAudit A = (*C)->audit();
+  cache::CacheAudit A = C->audit();
   std::printf("cache audit of %s:\n"
               "  method entries: %zu (%zu corrupt)\n"
               "  group entries:  %zu (%zu corrupt)\n"
@@ -298,6 +316,25 @@ int cacheAudit(const char *Dir) {
               Dir, A.MethodEntries, A.MethodCorrupt, A.GroupEntries,
               A.GroupCorrupt, A.TotalBytes);
   return (A.MethodCorrupt || A.GroupCorrupt) ? 1 : 0;
+}
+
+[[noreturn]] void usage() {
+  std::fprintf(stderr,
+               "usage: calibro-oatdump [--disasm] [--check] "
+               "[--method <fragment>] [--cache-audit <dir>] <file.oat>\n"
+               "       calibro-oatdump --layout-order [--page-size <n>] "
+               "<file.oat>   # final .text placement + page map +\n"
+               "                # static affinity-cut summary, as JSON\n"
+               "       calibro-oatdump --callgraph [--app <name>] "
+               "[--scale <s>] [--seed <n>] [--dead-code]\n");
+  std::exit(2);
+}
+
+/// \p V, or a usage error when the argument did not parse.
+template <typename T> T orUsage(std::optional<T> V) {
+  if (!V)
+    usage();
+  return *V;
 }
 
 } // namespace
@@ -327,13 +364,14 @@ int main(int argc, char **argv) {
     else if (!std::strcmp(argv[I], "--layout-order"))
       LayoutOrder = true;
     else if (!std::strcmp(argv[I], "--page-size") && I + 1 < argc)
-      PageSize = static_cast<uint32_t>(std::atoi(argv[++I]));
+      PageSize = static_cast<uint32_t>(
+          orUsage(support::parseUnsigned(argv[++I], 1, UINT32_MAX)));
     else if (!std::strcmp(argv[I], "--app") && I + 1 < argc)
       AppName = argv[++I];
     else if (!std::strcmp(argv[I], "--scale") && I + 1 < argc)
-      Scale = std::atof(argv[++I]);
+      Scale = orUsage(support::parsePositive(argv[++I]));
     else if (!std::strcmp(argv[I], "--seed") && I + 1 < argc)
-      Seed = std::strtoull(argv[++I], nullptr, 0);
+      Seed = orUsage(support::parseUnsigned(argv[++I]));
     else if (!std::strcmp(argv[I], "--method") && I + 1 < argc)
       Filter = argv[++I];
     else if (!std::strcmp(argv[I], "--cache-audit") && I + 1 < argc)
@@ -345,17 +383,8 @@ int main(int argc, char **argv) {
     return dumpCallGraph(AppName, Scale, Seed, DeadCode);
   if (CacheDir)
     return cacheAudit(CacheDir);
-  if (!Path) {
-    std::fprintf(stderr,
-                 "usage: calibro-oatdump [--disasm] [--check] "
-                 "[--method <fragment>] [--cache-audit <dir>] <file.oat>\n"
-                 "       calibro-oatdump --layout-order [--page-size <n>] "
-                 "<file.oat>   # final .text placement + page map +\n"
-                 "                # static affinity-cut summary, as JSON\n"
-                 "       calibro-oatdump --callgraph [--app <name>] "
-                 "[--scale <s>] [--seed <n>] [--dead-code]\n");
-    return 2;
-  }
+  if (!Path)
+    usage();
 
   // Map rather than read: dumping only decodes each section once, so
   // parsing straight out of the mapping skips the whole-image heap copy.
@@ -373,7 +402,7 @@ int main(int argc, char **argv) {
   }
 
   if (LayoutOrder) {
-    if (PageSize == 0 || (PageSize & (PageSize - 1))) {
+    if (PageSize & (PageSize - 1)) {
       std::fprintf(stderr, "--page-size must be a power of two\n");
       return 2;
     }
