@@ -7,7 +7,7 @@
 /// \file
 /// The daemon-scenario harness (no paper analogue — the fleet-build service
 /// built on Calibro's determinism guarantees): N=8 app-build jobs race
-/// through one CompileService over a shared pool, a shared sharded cache
+/// through one CompileService over a shared pool, a shared build cache
 /// and one global memory budget, cold then warm. Reports throughput,
 /// per-job latency (p50/p99), and cache-hit economics into
 /// BENCH_service.json, and self-gates on the service contract:
@@ -64,7 +64,8 @@ int main(int argc, char **argv) {
               NumJobs, Scale, fmtBytes(GlobalBudget).c_str());
 
   // Jobs 0..5: the six paper apps. Jobs 6..7 resubmit the first two apps —
-  // identical inputs racing their originals, the cross-job dedup case.
+  // identical inputs racing their originals, which meet at the same cache
+  // paths (content addressing) and may hit what the originals stored.
   auto Specs = workload::paperApps(Scale);
   std::vector<dex::App> Apps;
   for (const auto &S : Specs)
@@ -84,7 +85,6 @@ int main(int argc, char **argv) {
   SOpts.JobSlots = 4;
   SOpts.QueueDepth = NumJobs;
   SOpts.Threads = 0; // The machine.
-  SOpts.CacheShards = 8;
   SOpts.GlobalMemoryBudgetBytes = GlobalBudget;
   namespace fs = std::filesystem;
   fs::path CacheDir = fs::temp_directory_path() / "calibro-table8-cache";
@@ -139,9 +139,9 @@ int main(int argc, char **argv) {
   std::vector<core::BuildStats> ColdStats, WarmStats;
 
   double ColdWall = RunPass(ColdImages, ColdTimings, ColdGrants, ColdStats);
-  cache::ShardedCacheStats ColdCache = (*Svc)->sharedCache()->stats();
+  cache::CacheStats ColdCache = (*Svc)->sharedCache()->stats();
   double WarmWall = RunPass(WarmImages, WarmTimings, WarmGrants, WarmStats);
-  cache::ShardedCacheStats TotalCache = (*Svc)->sharedCache()->stats();
+  cache::CacheStats TotalCache = (*Svc)->sharedCache()->stats();
   service::ServiceStats SvcStats = (*Svc)->stats();
 
   // Serial oracle: each job's effective configuration (its actual budget
@@ -194,12 +194,11 @@ int main(int argc, char **argv) {
   std::printf("latency: cold p50 %.3fs p99 %.3fs | warm p50 %.3fs p99 %.3fs\n",
               percentile(ColdLat, 0.5), percentile(ColdLat, 0.99),
               percentile(WarmLat, 0.5), percentile(WarmLat, 0.99));
-  std::printf("cache: cold %llu/%llu method hits, %llu deduped; total "
-              "%llu/%llu hits, %llu evictions\n",
+  std::printf("cache: cold %llu/%llu method hits; total %llu/%llu hits, "
+              "%llu evictions\n",
               (unsigned long long)ColdCache.MethodHits,
               (unsigned long long)(ColdCache.MethodHits +
                                    ColdCache.MethodMisses),
-              (unsigned long long)ColdCache.StoresDeduped,
               (unsigned long long)TotalCache.MethodHits,
               (unsigned long long)(TotalCache.MethodHits +
                                    TotalCache.MethodMisses),
@@ -253,7 +252,7 @@ int main(int argc, char **argv) {
       "  \"latency_seconds\": {\"cold_p50\": %.6f, \"cold_p99\": %.6f, "
       "\"warm_p50\": %.6f, \"warm_p99\": %.6f},\n"
       "  \"cache\": {\"cold_method_hits\": %llu, \"cold_method_misses\": "
-      "%llu, \"cold_stores_deduped\": %llu, \"total_method_hits\": %llu, "
+      "%llu, \"total_method_hits\": %llu, "
       "\"total_method_misses\": %llu, \"total_group_hits\": %llu, "
       "\"evictions\": %llu, \"resident_bytes\": %llu},\n"
       "  \"arbiter\": {\"global_budget_bytes\": %llu, \"peak_bytes\": %llu, "
@@ -268,7 +267,6 @@ int main(int argc, char **argv) {
       percentile(WarmLat, 0.5), percentile(WarmLat, 0.99),
       (unsigned long long)ColdCache.MethodHits,
       (unsigned long long)ColdCache.MethodMisses,
-      (unsigned long long)ColdCache.StoresDeduped,
       (unsigned long long)TotalCache.MethodHits,
       (unsigned long long)TotalCache.MethodMisses,
       (unsigned long long)TotalCache.GroupHits,

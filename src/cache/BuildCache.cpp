@@ -11,10 +11,14 @@
 #include "support/BinaryStream.h"
 #include "support/MappedFile.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
+#include <string_view>
 #include <system_error>
 
 using namespace calibro;
@@ -279,58 +283,202 @@ decodeGroupBlob(std::span<const uint8_t> Bytes) {
   return G;
 }
 
+/// Index key of one entry: the kind tag ('m'/'g') + the digest hex. Method
+/// and group entries share one recency ranking: the budget bounds their
+/// sum, so they compete.
+std::string entryKey(char Kind, const Digest &Key) {
+  return std::string(1, Kind) + Key.hex();
+}
+
+/// The fan-out directory names: one per leading hex digit of a key.
+constexpr char HexDigits[] = "0123456789abcdef";
+
+/// <dir>/<kind>/<first digit>/<digest hex>.bin, built in one allocation
+/// (every cache probe builds one).
+std::string blobPath(const std::string &Dir, char Kind, std::string_view Hex) {
+  std::string P;
+  P.reserve(Dir.size() + Hex.size() + 9);
+  P.append(Dir).append({'/', Kind, '/', Hex[0], '/'}).append(Hex);
+  return P.append(".bin");
+}
+
+/// On-disk path of the entry \p K names in the store at \p Dir.
+std::string entryPath(const std::string &Dir, const std::string &K) {
+  return blobPath(Dir, K[0], std::string_view(K).substr(1));
+}
+
+uint64_t fileBytes(const std::string &Path) {
+  std::error_code Ec;
+  uint64_t N = fs::file_size(Path, Ec);
+  return Ec ? 0 : N;
+}
+
+/// Every blob in the store at \p Dir as (entry key, bytes), in key order.
+std::vector<std::pair<std::string, uint64_t>>
+listEntries(const std::string &Dir) {
+  std::vector<std::pair<std::string, uint64_t>> Out;
+  std::error_code Ec;
+  for (char Kind : {'m', 'g'})
+    for (const auto &E :
+         fs::recursive_directory_iterator(Dir + "/" + Kind, Ec)) {
+      std::error_code SizeEc;
+      if (!E.is_regular_file(SizeEc) || E.path().extension() != ".bin")
+        continue;
+      uint64_t Bytes = E.file_size(SizeEc);
+      Out.emplace_back(std::string(1, Kind) + E.path().stem().string(),
+                       SizeEc ? 0 : Bytes);
+    }
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
 } // namespace
 
+/// The resident index of a budgeted store: every entry's size and last
+/// touch, behind one mutex. Ticks are unique, so the recency order has no
+/// ties; adoption hands them out in key order.
+struct BuildCache::ResidentIndex {
+  struct Entry {
+    uint64_t Bytes = 0;
+    uint64_t Tick = 0;
+  };
+
+  std::mutex M;
+  std::map<std::string, Entry> Entries;
+  /// Tick -> entry key, least recently touched first.
+  std::map<uint64_t, std::string> ByTick;
+  uint64_t Bytes = 0;
+  uint64_t Clock = 0;
+  uint64_t Evictions = 0;
+  uint64_t EvictedBytes = 0;
+
+  /// Enters, resizes or touches the entry \p K: it becomes the most
+  /// recently touched.
+  void put(const std::string &K, uint64_t EntryBytes) {
+    auto [It, Inserted] = Entries.try_emplace(K);
+    if (!Inserted) {
+      Bytes -= It->second.Bytes;
+      ByTick.erase(It->second.Tick);
+    }
+    It->second = Entry{EntryBytes, Clock++};
+    ByTick.emplace(It->second.Tick, K);
+    Bytes += EntryBytes;
+  }
+
+  void erase(std::map<std::string, Entry>::iterator It) {
+    Bytes -= It->second.Bytes;
+    ByTick.erase(It->second.Tick);
+    Entries.erase(It);
+  }
+
+  /// Unlinks least-recently-touched entries of the store at \p Dir until
+  /// the whole store fits \p Budget. Caller holds M.
+  void evictTo(const std::string &Dir, uint64_t Budget) {
+    while (Bytes > Budget && !ByTick.empty()) {
+      auto It = Entries.find(ByTick.begin()->second);
+      std::error_code Ec;
+      fs::remove(entryPath(Dir, It->first), Ec);
+      ++Evictions;
+      EvictedBytes += It->second.Bytes;
+      erase(It);
+    }
+  }
+};
+
+BuildCache::BuildCache(std::string Root) : Root(std::move(Root)) {}
+
+BuildCache::~BuildCache() = default;
+
 std::string BuildCache::methodPath(const Digest &Key) const {
-  return Root + "/m/" + Key.hex() + ".bin";
+  return blobPath(Root, 'm', Key.hex());
 }
 
 std::string BuildCache::groupPath(const Digest &Key) const {
-  return Root + "/g/" + Key.hex() + ".bin";
+  return blobPath(Root, 'g', Key.hex());
 }
 
 Expected<std::unique_ptr<BuildCache>>
-BuildCache::open(const std::string &Dir) {
-  std::error_code Ec;
-  fs::create_directories(Dir + "/m", Ec);
-  if (Ec)
-    return makeError("cache: cannot create " + Dir + "/m: " + Ec.message());
-  fs::create_directories(Dir + "/g", Ec);
-  if (Ec)
-    return makeError("cache: cannot create " + Dir + "/g: " + Ec.message());
-
+BuildCache::open(const std::string &Dir, uint64_t BudgetBytes) {
   std::string StampPath = Dir + "/VERSION";
   std::string Want = versionStamp();
   bool Stamped = false;
   if (auto Bytes = readFileBytes(StampPath))
     Stamped = std::string(Bytes->begin(), Bytes->end()) == Want;
 
+  std::error_code Ec;
   if (!Stamped) {
-    // Unknown or version-skewed store: empty it rather than risk misreading
-    // entries whose encoding this build does not speak.
-    for (const char *Sub : {"/m", "/g"}) {
-      for (const auto &Entry : fs::directory_iterator(Dir + Sub, Ec)) {
-        std::error_code RmEc;
-        fs::remove(Entry.path(), RmEc);
-      }
+    // Unknown or version-skewed store (an older layout included): empty it
+    // rather than risk misreading entries this build does not speak.
+    for (const char *Sub : {"/m", "/g"})
+      fs::remove_all(Dir + Sub, Ec);
+  }
+  for (const char *Sub : {"/m/", "/g/"})
+    for (char Digit : std::string_view(HexDigits)) {
+      std::string FanDir = Dir + Sub + Digit;
+      fs::create_directories(FanDir, Ec);
+      if (Ec)
+        return makeError("cache: cannot create " + FanDir + ": " +
+                         Ec.message());
     }
+  if (!Stamped) {
     std::vector<uint8_t> StampBytes(Want.begin(), Want.end());
     if (!writeFileAtomic(StampPath, StampBytes))
       return makeError("cache: cannot stamp " + StampPath);
   }
-  return std::unique_ptr<BuildCache>(new BuildCache(Dir));
+  std::unique_ptr<BuildCache> C(new BuildCache(Dir));
+  if (BudgetBytes) {
+    // Adopt what the store already holds (a daemon restart reuses the
+    // fleet cache), then trim so the bound holds from the first operation.
+    C->Budget = BudgetBytes;
+    C->Index = std::make_unique<ResidentIndex>();
+    for (const auto &[K, Bytes] : listEntries(Dir))
+      C->Index->put(K, Bytes);
+    C->Index->evictTo(Dir, BudgetBytes);
+  }
+  return C;
+}
+
+void BuildCache::touch(char Kind, const Digest &Key, bool Hit) const {
+  if (Kind == 'm')
+    (Hit ? MethodHits : MethodMisses).fetch_add(1);
+  else
+    (Hit ? GroupHits : GroupMisses).fetch_add(1);
+  if (!Hit || !Index)
+    return;
+  std::lock_guard<std::mutex> Lock(Index->M);
+  auto It = Index->Entries.find(entryKey(Kind, Key));
+  if (It != Index->Entries.end())
+    Index->put(It->first, It->second.Bytes);
+}
+
+void BuildCache::recordStore(char Kind, const Digest &Key) const {
+  if (!Index)
+    return;
+  std::string K = entryKey(Kind, Key);
+  std::lock_guard<std::mutex> Lock(Index->M);
+  // Sized under the lock, where every eviction runs: an eviction that
+  // unlinked the new blob first makes the stat miss, so the index never
+  // names a missing file.
+  uint64_t Bytes = fileBytes(entryPath(Root, K));
+  if (Bytes == 0) {
+    // Best-effort store failed; whatever the index held is gone too.
+    if (auto It = Index->Entries.find(K); It != Index->Entries.end())
+      Index->erase(It);
+    return;
+  }
+  Index->put(K, Bytes);
+  Index->evictTo(Root, Budget);
 }
 
 std::optional<CachedMethod> BuildCache::loadMethod(const Digest &Key) const {
   // Zero-copy load: checksum and decode straight out of the mapping. The
   // decoded CachedMethod owns its data, so the mapping's scope ends here.
-  auto Map = support::MappedFile::open(methodPath(Key));
-  if (!Map)
-    return std::nullopt;
-  auto Payload = openBlob(Map->bytes(), MethodBlobMagic);
-  if (!Payload)
-    return std::nullopt;
-  return decodeMethodBlob(*Payload);
+  std::optional<CachedMethod> CM;
+  if (auto Map = support::MappedFile::open(methodPath(Key)))
+    if (auto Payload = openBlob(Map->bytes(), MethodBlobMagic))
+      CM = decodeMethodBlob(*Payload);
+  touch('m', Key, CM.has_value());
+  return CM;
 }
 
 void BuildCache::storeMethod(const Digest &Key,
@@ -339,51 +487,65 @@ void BuildCache::storeMethod(const Digest &Key,
   writeFileAtomic(methodPath(Key),
                   sealBlob(MethodBlobMagic,
                            encodeMethodBlob(M, HirInsnsSimplified)));
+  recordStore('m', Key);
 }
 
 std::optional<GroupSelections> BuildCache::loadGroup(const Digest &Key) const {
-  auto Map = support::MappedFile::open(groupPath(Key));
-  if (!Map)
-    return std::nullopt;
-  auto Payload = openBlob(Map->bytes(), GroupBlobMagic);
-  if (!Payload)
-    return std::nullopt;
-  return decodeGroupBlob(*Payload);
+  std::optional<GroupSelections> G;
+  if (auto Map = support::MappedFile::open(groupPath(Key)))
+    if (auto Payload = openBlob(Map->bytes(), GroupBlobMagic))
+      G = decodeGroupBlob(*Payload);
+  touch('g', Key, G.has_value());
+  return G;
 }
 
 void BuildCache::storeGroup(const Digest &Key,
                             const GroupSelections &G) const {
   writeFileAtomic(groupPath(Key), sealBlob(GroupBlobMagic, encodeGroupBlob(G)));
+  recordStore('g', Key);
 }
 
-CacheAudit BuildCache::audit() const {
+CacheAudit BuildCache::auditDir(const std::string &Dir) {
   CacheAudit A;
-  std::error_code Ec;
-  for (const auto &Entry : fs::directory_iterator(Root + "/m", Ec)) {
-    if (!Entry.is_regular_file() || Entry.path().extension() != ".bin")
-      continue;
-    ++A.MethodEntries;
-    A.TotalBytes += Entry.file_size(Ec);
-    auto Map = support::MappedFile::open(Entry.path().string());
+  auto Stamp = readFileBytes(Dir + "/VERSION");
+  A.Stamped = Stamp && std::string(Stamp->begin(), Stamp->end()) ==
+                           versionStamp();
+  for (const auto &[K, Bytes] : listEntries(Dir)) {
+    const bool Method = K[0] == 'm';
+    ++(Method ? A.MethodEntries : A.GroupEntries);
+    A.TotalBytes += Bytes;
     bool Ok = false;
-    if (Map)
-      if (auto Payload = openBlob(Map->bytes(), MethodBlobMagic))
-        Ok = decodeMethodBlob(*Payload).has_value();
+    if (A.Stamped)
+      if (auto Map = support::MappedFile::open(entryPath(Dir, K)))
+        if (auto Payload = openBlob(Map->bytes(), Method ? MethodBlobMagic
+                                                         : GroupBlobMagic))
+          Ok = Method ? decodeMethodBlob(*Payload).has_value()
+                      : decodeGroupBlob(*Payload).has_value();
     if (!Ok)
-      ++A.MethodCorrupt;
-  }
-  for (const auto &Entry : fs::directory_iterator(Root + "/g", Ec)) {
-    if (!Entry.is_regular_file() || Entry.path().extension() != ".bin")
-      continue;
-    ++A.GroupEntries;
-    A.TotalBytes += Entry.file_size(Ec);
-    auto Map = support::MappedFile::open(Entry.path().string());
-    bool Ok = false;
-    if (Map)
-      if (auto Payload = openBlob(Map->bytes(), GroupBlobMagic))
-        Ok = decodeGroupBlob(*Payload).has_value();
-    if (!Ok)
-      ++A.GroupCorrupt;
+      ++(Method ? A.MethodCorrupt : A.GroupCorrupt);
   }
   return A;
+}
+
+CacheAudit BuildCache::audit() const { return auditDir(Root); }
+
+CacheStats BuildCache::stats() const {
+  CacheStats St;
+  St.MethodHits = MethodHits.load();
+  St.MethodMisses = MethodMisses.load();
+  St.GroupHits = GroupHits.load();
+  St.GroupMisses = GroupMisses.load();
+  if (Index) {
+    std::lock_guard<std::mutex> Lock(Index->M);
+    St.Evictions = Index->Evictions;
+    St.EvictedBytes = Index->EvictedBytes;
+    St.ResidentBytes = Index->Bytes;
+    St.ResidentEntries = Index->Entries.size();
+    return St;
+  }
+  for (const auto &[K, Bytes] : listEntries(Root)) {
+    ++St.ResidentEntries;
+    St.ResidentBytes += Bytes;
+  }
+  return St;
 }

@@ -10,14 +10,20 @@
 /// (the incremental-build discipline of BOLT-style post-link optimizers).
 /// Two entry kinds live under the cache directory:
 ///
-///   <dir>/VERSION        format stamp; a mismatch empties the cache
-///   <dir>/m/<key>.bin    compiled-method blob, keyed by the SOURCE digest
-///                        of the dex method (cache::methodSourceKey) — a
-///                        hit skips HIR construction and codegen entirely
-///   <dir>/g/<key>.bin    canonical LTBO candidate selection of one
-///                        partition group, keyed by the digest of the
-///                        group's member CONTENT digests — a hit skips
-///                        suffix-structure construction and detection
+///   <dir>/VERSION          format stamp; a mismatch empties the cache
+///   <dir>/m/<h>/<key>.bin  compiled-method blob, keyed by the SOURCE
+///                          digest of the dex method
+///                          (cache::methodSourceKey) — a hit skips HIR
+///                          construction and codegen entirely
+///   <dir>/g/<h>/<key>.bin  canonical LTBO candidate selection of one
+///                          partition group, keyed by the digest of the
+///                          group's member CONTENT digests — a hit skips
+///                          suffix-structure construction and detection
+///
+/// <h> is the key's first hex digit. The 16-way fan-out keeps concurrent
+/// writers (the daemon's jobs, the compile-phase pool) from queueing on one
+/// directory's lock: on ext4 a cold daemon pass of table8 ran 2.5x slower
+/// with every blob in one directory.
 ///
 /// Correctness stance: the cache is an accelerator, never an authority.
 /// Every blob carries a magic, the format version, and a trailing content
@@ -30,7 +36,15 @@
 ///
 /// Writes go to a unique temp file followed by an atomic rename, so
 /// concurrent builders (and the compile-phase thread pool) never observe a
-/// half-written entry.
+/// half-written entry. A store always writes, even when the key is already
+/// on disk: that is what rewrites a corrupt entry on the next miss.
+///
+/// One store serves calibro-dex2oat and the compile daemon alike. Opened
+/// with a byte budget, it also keeps a resident index (adopted from the
+/// directory at open) and evicts least-recently-touched entries until the
+/// store fits the budget again. Eviction only unlinks: a load maps its
+/// blob before decoding, so an unlink after the map cannot hurt the read,
+/// and one before it is an ordinary miss.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +55,7 @@
 #include "codegen/CompiledMethod.h"
 #include "support/Error.h"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -53,7 +68,7 @@ namespace cache {
 /// Version of every on-disk encoding this subsystem owns (blob layouts,
 /// digest recipes, the VERSION stamp). Bump on any change; old caches are
 /// then discarded wholesale rather than misread.
-inline constexpr uint32_t CacheFormatVersion = 1;
+inline constexpr uint32_t CacheFormatVersion = 2;
 
 /// A compiled-method blob recovered from the store.
 struct CachedMethod {
@@ -84,23 +99,53 @@ struct CacheAudit {
   uint64_t GroupEntries = 0;
   uint64_t GroupCorrupt = 0;
   uint64_t TotalBytes = 0;
+  /// False when VERSION is missing or names another format; every entry is
+  /// then counted corrupt, since this build cannot read any of them.
+  bool Stamped = true;
+};
+
+/// Counters of one open store. Hits and misses count every probe; the
+/// eviction and residency counters are kept only by a budgeted store, and
+/// an unbudgeted one reports residency from a directory walk.
+struct CacheStats {
+  uint64_t MethodHits = 0;
+  uint64_t MethodMisses = 0;
+  uint64_t GroupHits = 0;
+  uint64_t GroupMisses = 0;
+  uint64_t Evictions = 0;
+  uint64_t EvictedBytes = 0;
+  /// Blob bytes in the store right now.
+  uint64_t ResidentBytes = 0;
+  /// Blob entries in the store right now.
+  uint64_t ResidentEntries = 0;
 };
 
 /// Handle to one cache directory. Thread-safe: loads touch only immutable
-/// renamed files, stores are temp-file + atomic-rename.
+/// renamed files, stores are temp-file + atomic-rename, and a budgeted
+/// store's resident index sits behind one mutex.
 ///
-/// The entry operations are virtual so drop-in wrappers — the daemon's
-/// sharded, size-bounded ShardedBuildCache — can stand in anywhere a
-/// BuildCache flows (compile-stage method probes, LTBO group store and
-/// replay) without those stages knowing about sharding.
+/// The entry operations are virtual so drop-in wrappers (a timing wrapper
+/// in perfbench/) can stand in anywhere a BuildCache flows: compile-stage
+/// method probes, LTBO group store and replay.
 class BuildCache {
 public:
   /// Opens (creating if needed) the store at \p Dir. A missing or
   /// mismatched VERSION stamp empties the store and restamps it. Fails only
   /// when the directory cannot be created or written.
-  static Expected<std::unique_ptr<BuildCache>> open(const std::string &Dir);
+  ///
+  /// \p BudgetBytes caps the summed blob bytes (0 = unbounded). A budgeted
+  /// store adopts the directory's entries into its resident index in sorted
+  /// key order, so the first recency ranking is deterministic, and trims to
+  /// the budget before returning. An unbudgeted store does not scan.
+  static Expected<std::unique_ptr<BuildCache>> open(const std::string &Dir,
+                                                    uint64_t BudgetBytes = 0);
 
-  virtual ~BuildCache() = default;
+  /// Scans every entry under \p Dir, validating each blob end to end.
+  /// Read-only: creates, purges and stamps nothing, so a store stamped by
+  /// another format survives its audit (reported as !Stamped).
+  static CacheAudit auditDir(const std::string &Dir);
+
+  virtual ~BuildCache();
 
   const std::string &dir() const { return Root; }
 
@@ -122,20 +167,40 @@ public:
   /// Stores a group's canonical selection under \p Key. Best-effort.
   virtual void storeGroup(const Digest &Key, const GroupSelections &G) const;
 
-  /// Scans every entry, validating each blob end to end.
+  /// auditDir() of this store.
   virtual CacheAudit audit() const;
 
+  /// Counter snapshot (monotonic counters + current residency).
+  CacheStats stats() const;
+
+  uint64_t budgetBytes() const { return Budget; }
+
   /// On-disk path of the method / group blob for \p Key (whether or not an
-  /// entry exists). Public so eviction bookkeeping (ShardedBuildCache) and
-  /// tests can stat and remove entries without re-deriving the layout.
+  /// entry exists). Public so tests can stat and damage entries without
+  /// re-deriving the layout.
   std::string methodPath(const Digest &Key) const;
   std::string groupPath(const Digest &Key) const;
 
 protected:
-  explicit BuildCache(std::string Root) : Root(std::move(Root)) {}
+  explicit BuildCache(std::string Root);
 
 private:
+  struct ResidentIndex;
+
+  /// Counts a probe and, on a hit in a budgeted store, refreshes the
+  /// entry's recency.
+  void touch(char Kind, const Digest &Key, bool Hit) const;
+
+  /// Enters a just-written blob into the resident index and evicts until
+  /// the store fits its budget. No-op for an unbudgeted store.
+  void recordStore(char Kind, const Digest &Key) const;
+
   std::string Root;
+  uint64_t Budget = 0;
+  /// Present only when Budget != 0.
+  std::unique_ptr<ResidentIndex> Index;
+  mutable std::atomic<uint64_t> MethodHits{0}, MethodMisses{0};
+  mutable std::atomic<uint64_t> GroupHits{0}, GroupMisses{0};
 };
 
 } // namespace cache

@@ -113,7 +113,7 @@ struct CalibroOptions {
   /// byte-identical either way.
   ThreadPool *Pool = nullptr;
   ThreadPool::GroupId PoolGroup = 0;
-  /// Externally-owned build cache (the daemon's sharded store). When set it
+  /// Externally-owned build cache (the daemon's shared store). When set it
   /// overrides CacheDir: both the compile-stage method probes and LTBO
   /// group replay go through this store.
   cache::BuildCache *SharedCache = nullptr;

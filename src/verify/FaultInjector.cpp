@@ -277,7 +277,7 @@ Expected<FaultInjector> FaultInjector::create(const workload::AppSpec &Spec,
     for (const char *Sub : {"m", "g"}) {
       std::error_code Ec;
       for (const auto &E :
-           fs::directory_iterator(fs::path(Opts.CacheDir) / Sub, Ec))
+           fs::recursive_directory_iterator(fs::path(Opts.CacheDir) / Sub, Ec))
         if (E.is_regular_file())
           Paths.push_back(E.path().string());
     }

@@ -1,7 +1,8 @@
-# Runs calibro-dex2oat and calibro-compiled with malformed numeric options
-# and job-line fields and fails unless every run exits with status 2; one
-# well-formed run of each must exit 0. Usage:
-#   cmake -DDEX2OAT=<tool> -DCOMPILED=<tool> -DWORK=<scratch dir> -P <this>
+# Runs calibro-dex2oat, calibro-run and calibro-compiled with malformed
+# numeric options and job-line fields and fails unless every run exits with
+# status 2; one well-formed run of each must exit 0. Usage:
+#   cmake -DDEX2OAT=<tool> -DRUN=<tool> -DCOMPILED=<tool>
+#         -DWORK=<scratch dir> -P <this>
 file(MAKE_DIRECTORY ${WORK})
 set(OUT ${WORK}/numeric-args.oat)
 
@@ -26,9 +27,19 @@ expect_rc(0 ${DEX2OAT} --cto --ltbo --scale 0.05 --seed 7 --partitions 2
           --threads 2 --memory-budget 100000 --min-len 2 --max-len 32
           -o ${OUT})
 
+# calibro-run on the image just built: --method and every --args value are
+# decimal integers >= 0 (a token starting with '-' ends the --args list).
+foreach(ARGS
+    "--method;abc" "--method;-1" "--method;1.5" "--method;4294967296"
+    "--args;abc" "--args;7;x" "--args;12abc"
+    "--args;9223372036854775808" "--args;0x10")
+  expect_rc(2 ${RUN} ${OUT} ${ARGS})
+endforeach()
+expect_rc(0 ${RUN} ${OUT} --method 0 --args 7 9)
+
 foreach(ARGS
     "--jobs;0" "--jobs;abc" "--threads;-3" "--queue-depth;x"
-    "--cache-shards;0" "--cache-budget;-1" "--global-memory-budget;1k"
+    "--cache-budget;-1" "--global-memory-budget;1k"
     "--partitions;0" "--min-len;1")
   expect_rc(2 ${COMPILED} ${ARGS} INPUT_FILE /dev/null)
 endforeach()

@@ -18,7 +18,6 @@
 
 #include "cache/BuildCache.h"
 #include "cache/Digest.h"
-#include "cache/ShardedCache.h"
 #include "core/Calibro.h"
 #include "oat/Serialize.h"
 #include "workload/Workload.h"
@@ -29,6 +28,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -101,10 +101,11 @@ std::optional<uint32_t> churnOneMethod(dex::App &App) {
   return std::nullopt;
 }
 
-/// All regular files under \p Dir, sorted for determinism.
+/// All blobs under \p Dir (a store's m/ or g/, fan-out included), sorted
+/// for determinism.
 std::vector<fs::path> listBlobs(const fs::path &Dir) {
   std::vector<fs::path> Out;
-  for (const auto &E : fs::directory_iterator(Dir))
+  for (const auto &E : fs::recursive_directory_iterator(Dir))
     if (E.is_regular_file() && E.path().extension() == ".bin")
       Out.push_back(E.path());
   std::sort(Out.begin(), Out.end());
@@ -378,7 +379,7 @@ TEST(CacheDamage, FormatVersionMismatchPurgesTheStore) {
 }
 
 //===----------------------------------------------------------------------===//
-// ShardedBuildCache (the daemon's shared store)
+// The byte budget (the daemon's --cache-budget) and the repair rule
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -391,8 +392,8 @@ cache::GroupSelections testGroup(uint32_t Tag) {
 
 /// The on-disk size of one testGroup blob, measured on a throwaway store.
 uint64_t groupBlobBytes() {
-  TempCacheDir Dir("shard-probe");
-  auto C = cache::ShardedBuildCache::open(Dir.str(), 1);
+  TempCacheDir Dir("budget-probe");
+  auto C = cache::BuildCache::open(Dir.str());
   EXPECT_TRUE(bool(C)) << C.message();
   (*C)->storeGroup({1, 1}, testGroup(1));
   return (*C)->stats().ResidentBytes;
@@ -400,13 +401,13 @@ uint64_t groupBlobBytes() {
 
 } // namespace
 
-TEST(ShardedCache, LruEvictionRespectsBudgetRecencyAndAuditStaysClean) {
+TEST(CacheBudget, LruEvictionRespectsBudgetRecencyAndAuditStaysClean) {
   const uint64_t S = groupBlobBytes();
   ASSERT_GT(S, 0u);
 
-  // One shard, budget for two blobs (and change).
-  TempCacheDir Dir("shard-lru");
-  auto C = cache::ShardedBuildCache::open(Dir.str(), 1, 2 * S + S / 2);
+  // Budget for two blobs (and change).
+  TempCacheDir Dir("budget-lru");
+  auto C = cache::BuildCache::open(Dir.str(), 2 * S + S / 2);
   ASSERT_TRUE(bool(C)) << C.message();
 
   cache::Digest D1{1, 0}, D2{2, 0}, D3{3, 0};
@@ -418,7 +419,7 @@ TEST(ShardedCache, LruEvictionRespectsBudgetRecencyAndAuditStaysClean) {
   EXPECT_TRUE((*C)->loadGroup(D1).has_value());
   (*C)->storeGroup(D3, testGroup(3));
 
-  cache::ShardedCacheStats St = (*C)->stats();
+  cache::CacheStats St = (*C)->stats();
   EXPECT_EQ(St.Evictions, 1u);
   EXPECT_EQ(St.EvictedBytes, S);
   EXPECT_LE(St.ResidentBytes, (*C)->budgetBytes());
@@ -433,77 +434,101 @@ TEST(ShardedCache, LruEvictionRespectsBudgetRecencyAndAuditStaysClean) {
   EXPECT_EQ(A.MethodCorrupt, 0u);
 }
 
-TEST(ShardedCache, PinnedEntryIsNeverEvicted) {
+TEST(CacheBudget, AdoptionRebuildsIndexAndTrimsToTightenedBudget) {
   const uint64_t S = groupBlobBytes();
-  TempCacheDir Dir("shard-pin");
-  // Budget for barely one blob: every second store must evict something.
-  auto C = cache::ShardedBuildCache::open(Dir.str(), 1, S + S / 2);
-  ASSERT_TRUE(bool(C)) << C.message();
-
-  cache::Digest Replayed{10, 0};
-  (*C)->storeGroup(Replayed, testGroup(10));
-
+  TempCacheDir Dir("budget-adopt");
   {
-    // A held pin (loadGroup pins for the span of its read) while other
-    // jobs' stores hammer the same shard.
-    cache::ShardedBuildCache::Pin P = (*C)->pinGroup(Replayed);
-    for (uint32_t I = 0; I < 8; ++I)
-      (*C)->storeGroup({100 + I, 0}, testGroup(100 + I));
-    EXPECT_GT((*C)->stats().Evictions, 0u);
-    // Every eviction picked an unpinned victim; the replayed blob is whole.
-    auto G = (*C)->loadGroup(Replayed);
-    ASSERT_TRUE(G.has_value()) << "pinned blob was evicted mid-replay";
-    EXPECT_EQ(G->Funcs.at(0).Positions, (std::vector<uint32_t>{10, 17, 29}));
-  }
-
-  // Pin released: the entry is ordinary again and stores may now evict it.
-  uint64_t Before = (*C)->stats().Evictions;
-  (*C)->storeGroup({200, 0}, testGroup(200));
-  (*C)->storeGroup({201, 0}, testGroup(201));
-  EXPECT_GT((*C)->stats().Evictions, Before);
-  cache::CacheAudit A = (*C)->audit();
-  EXPECT_EQ(A.GroupCorrupt, 0u);
-}
-
-TEST(ShardedCache, ResidentStoresAreDedupedNotRewritten) {
-  TempCacheDir Dir("shard-dedup");
-  auto C = cache::ShardedBuildCache::open(Dir.str(), 4);
-  ASSERT_TRUE(bool(C)) << C.message();
-
-  cache::Digest D{42, 7};
-  (*C)->storeGroup(D, testGroup(42));
-  // The second writer of a content-addressed key has identical bytes by
-  // construction: the write is skipped, only recency advances.
-  (*C)->storeGroup(D, testGroup(42));
-  (*C)->storeGroup(D, testGroup(42));
-
-  cache::ShardedCacheStats St = (*C)->stats();
-  EXPECT_EQ(St.StoresDeduped, 2u);
-  EXPECT_EQ(St.ResidentEntries, 1u);
-  EXPECT_TRUE((*C)->loadGroup(D).has_value());
-}
-
-TEST(ShardedCache, AdoptionRebuildsIndexAndTrimsToTightenedBudget) {
-  const uint64_t S = groupBlobBytes();
-  TempCacheDir Dir("shard-adopt");
-  {
-    auto C = cache::ShardedBuildCache::open(Dir.str(), 2);
+    auto C = cache::BuildCache::open(Dir.str());
     ASSERT_TRUE(bool(C)) << C.message();
     for (uint32_t I = 0; I < 8; ++I)
       (*C)->storeGroup({I, 0}, testGroup(I));
     EXPECT_EQ((*C)->stats().ResidentEntries, 8u);
   }
-  // A daemon restart reopens the fleet cache with a TIGHTER budget: the
-  // adopted index must trim immediately, and what remains must audit clean.
-  auto C = cache::ShardedBuildCache::open(Dir.str(), 2, 4 * S);
+  // A daemon restart reopens the fleet cache with a budget: the adopted
+  // index must trim immediately, and what remains must audit clean.
+  auto C = cache::BuildCache::open(Dir.str(), 4 * S);
   ASSERT_TRUE(bool(C)) << C.message();
-  cache::ShardedCacheStats St = (*C)->stats();
+  cache::CacheStats St = (*C)->stats();
   EXPECT_LE(St.ResidentBytes, 4 * S);
   EXPECT_LT(St.ResidentEntries, 8u);
   EXPECT_GT(St.ResidentEntries, 0u);
   cache::CacheAudit A = (*C)->audit();
   EXPECT_EQ(A.GroupEntries, St.ResidentEntries);
   EXPECT_EQ(A.GroupCorrupt, 0u);
+}
+
+TEST(CacheBudget, ConcurrentStoresAndLoadsKeepTheIndexEqualToTheDisk) {
+  // Four writers over overlapping keys in a store that fits about three
+  // blobs: every store evicts, and loads race the unlinks. A load that
+  // loses the race is a miss; nothing may crash, and the index must end up
+  // naming exactly the blobs on disk, within the budget.
+  const uint64_t S = groupBlobBytes();
+  TempCacheDir Dir("budget-race");
+  auto C = cache::BuildCache::open(Dir.str(), 3 * S);
+  ASSERT_TRUE(bool(C)) << C.message();
+  const cache::BuildCache &Store = **C;
+  std::vector<std::thread> Writers;
+  for (uint32_t T = 0; T < 4; ++T)
+    Writers.emplace_back([&Store, T] {
+      for (uint32_t I = 0; I < 200; ++I) {
+        uint32_t Key = (I * 7 + T) % 16;
+        Store.storeGroup({Key, 0}, testGroup(Key));
+        if (auto G = Store.loadGroup({(Key + 1) % 16, 0})) {
+          EXPECT_EQ(G->Funcs.at(0).SeqLen, 4u);
+        }
+      }
+    });
+  for (auto &W : Writers)
+    W.join();
+
+  cache::CacheStats St = Store.stats();
+  cache::CacheAudit A = Store.audit();
+  EXPECT_GT(St.Evictions, 0u);
+  EXPECT_LE(St.ResidentBytes, 3 * S);
+  EXPECT_EQ(A.GroupEntries, St.ResidentEntries);
+  EXPECT_EQ(A.TotalBytes, St.ResidentBytes);
+  EXPECT_EQ(A.GroupCorrupt, 0u);
+}
+
+TEST(CacheDamage, CorruptBlobIsRewrittenByTheNextStore) {
+  // The repair rule: a store always writes, so the miss that a corrupt
+  // entry causes is followed by a store that replaces it. Run on a budgeted
+  // store, where the damaged key is resident in the index.
+  TempCacheDir Dir("repair");
+  auto C = cache::BuildCache::open(Dir.str(), 1ull << 20);
+  ASSERT_TRUE(bool(C)) << C.message();
+
+  dex::App App = workload::makeApp(testSpec());
+  core::CalibroOptions NoCache = cacheOpts("");
+  auto Compiled = core::compileApp(App, NoCache);
+  ASSERT_TRUE(bool(Compiled)) << Compiled.message();
+  const codegen::CompiledMethod &M = Compiled->Methods.at(0);
+  const cache::Digest MKey{11, 0}, GKey{12, 0};
+  (*C)->storeMethod(MKey, M, 3);
+  (*C)->storeGroup(GKey, testGroup(12));
+
+  for (const std::string &P : {(*C)->methodPath(MKey), (*C)->groupPath(GKey)})
+    flipByteInFile(P, fs::file_size(P) / 2);
+  EXPECT_EQ((*C)->audit().MethodCorrupt, 1u);
+  EXPECT_EQ((*C)->audit().GroupCorrupt, 1u);
+
+  // Miss, store, hit.
+  EXPECT_FALSE((*C)->loadMethod(MKey).has_value());
+  EXPECT_FALSE((*C)->loadGroup(GKey).has_value());
+  (*C)->storeMethod(MKey, M, 3);
+  (*C)->storeGroup(GKey, testGroup(12));
+  auto CM = (*C)->loadMethod(MKey);
+  ASSERT_TRUE(CM.has_value()) << "the store did not rewrite the method blob";
+  EXPECT_TRUE(CM->Method == M);
+  EXPECT_EQ(CM->HirInsnsSimplified, 3u);
+  auto G = (*C)->loadGroup(GKey);
+  ASSERT_TRUE(G.has_value()) << "the store did not rewrite the group blob";
+  EXPECT_EQ(G->Funcs.at(0).Positions, (std::vector<uint32_t>{12, 19, 31}));
+
+  cache::CacheAudit A = (*C)->audit();
+  EXPECT_EQ(A.MethodCorrupt, 0u);
+  EXPECT_EQ(A.GroupCorrupt, 0u);
+  EXPECT_EQ((*C)->stats().ResidentEntries, 2u);
 }
 
 TEST(CacheWarm, WindowedBuildStoresAndReplaysEveryGroup) {

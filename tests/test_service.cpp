@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The compile-service contract (ISSUE 9): every job a CompileService runs
-/// concurrently — over one shared pool, one shared sharded cache, one
+/// concurrently — over one shared pool, one shared (budgeted) cache, one
 /// arbitrated memory budget — produces an OAT byte-identical to the same
 /// build run serially in isolation; shared-cache counters are deterministic
-/// across shard counts; a full queue rejects with ErrCat::Service without
+/// across pool widths; a full queue rejects with ErrCat::Service without
 /// corrupting any in-flight job; and a corrupted job degrades alone while
 /// its neighbors stay byte-identical. Plus the MemoryArbiter unit contract:
 /// deterministic grants whose outstanding sum never exceeds the global
@@ -63,6 +63,10 @@ workload::AppSpec jobSpec(uint64_t Seed) {
   return Spec;
 }
 
+/// Byte budget of the shared cache in the concurrent-identity test: a
+/// fraction of what its six apps store, so jobs evict each other's blobs.
+constexpr uint64_t ConcurrentCacheBudget = 64 << 10;
+
 core::CalibroOptions buildOpts() {
   core::CalibroOptions Opts;
   Opts.EnableCto = true;
@@ -114,7 +118,9 @@ TEST(ServiceDeterminism, ConcurrentJobsByteIdenticalToSerial) {
     SOpts.QueueDepth = 8;
     SOpts.Threads = Threads;
     SOpts.CacheDir = Dir.str();
-    SOpts.CacheShards = 4;
+    // Tight enough that stores evict while other jobs load: an unlink
+    // racing a load can only turn a hit into a miss.
+    SOpts.CacheBudgetBytes = ConcurrentCacheBudget;
     auto Svc = CompileService::create(SOpts);
     ASSERT_TRUE(bool(Svc)) << Svc.message();
 
@@ -142,13 +148,15 @@ TEST(ServiceDeterminism, ConcurrentJobsByteIdenticalToSerial) {
     EXPECT_EQ(St.JobsAccepted, 6u);
     EXPECT_EQ(St.JobsSucceeded, 6u);
     EXPECT_EQ(St.JobsFailed, 0u);
+    cache::CacheStats CS = (*Svc)->sharedCache()->stats();
+    EXPECT_GT(CS.Evictions, 0u) << "threads=" << Threads;
+    EXPECT_LE(CS.ResidentBytes, ConcurrentCacheBudget);
   }
 }
 
 TEST(ServiceDeterminism, WarmResubmissionHitsSharedCacheAndStaysIdentical) {
   // The same app submitted twice: the rerun rides the first run's entries
-  // (method hits, group replays, deduped stores) and still reproduces the
-  // identical image.
+  // (method hits, group replays) and still reproduces the identical image.
   dex::App App = workload::makeApp(jobSpec(40));
   std::vector<uint8_t> Ref = serialImage(App, buildOpts(), 0);
 
@@ -157,7 +165,6 @@ TEST(ServiceDeterminism, WarmResubmissionHitsSharedCacheAndStaysIdentical) {
   SOpts.JobSlots = 2;
   SOpts.Threads = 4;
   SOpts.CacheDir = Dir.str();
-  SOpts.CacheShards = 4;
   auto Svc = CompileService::create(SOpts);
   ASSERT_TRUE(bool(Svc)) << Svc.message();
 
@@ -185,35 +192,33 @@ TEST(ServiceDeterminism, WarmResubmissionHitsSharedCacheAndStaysIdentical) {
   EXPECT_GT(WarmR.Stats.GroupsReused, 0u);
   EXPECT_EQ(oat::serializeOat(Warm->oat()), Ref);
 
-  cache::ShardedCacheStats CS = (*Svc)->sharedCache()->stats();
+  cache::CacheStats CS = (*Svc)->sharedCache()->stats();
   EXPECT_EQ(CS.MethodHits, App.numMethods());
   EXPECT_EQ(CS.Evictions, 0u);
 }
 
 //===----------------------------------------------------------------------===//
-// Shared-cache counters are deterministic across shard counts
+// Shared-cache counters are deterministic across pool widths
 //===----------------------------------------------------------------------===//
 
-TEST(ServiceCache, CountersDeterministicAcrossShardCounts) {
+TEST(ServiceCache, CountersDeterministicAcrossThreadCounts) {
   // A fixed job sequence (two apps, each submitted twice, serialized so the
-  // probe order is fixed) must produce identical hit/miss/dedup counters no
-  // matter how the key space is sharded — routing changes WHERE an entry
-  // lives, never WHETHER it hits.
+  // probe order is fixed) must produce identical hit/miss counters however
+  // wide the shared pool is — the pool changes WHEN a probe runs, never
+  // WHETHER it hits.
   std::vector<dex::App> Apps;
   Apps.push_back(workload::makeApp(jobSpec(50)));
   Apps.push_back(workload::makeApp(jobSpec(51)));
 
-  std::optional<cache::ShardedCacheStats> First;
-  for (uint32_t Shards : {1u, 4u, 8u}) {
-    TempDir Dir("shards-" + std::to_string(Shards));
+  std::optional<cache::CacheStats> First;
+  for (uint32_t Threads : {1u, 4u, 8u}) {
+    TempDir Dir("threads-" + std::to_string(Threads));
     ServiceOptions SOpts;
     SOpts.JobSlots = 2;
-    SOpts.Threads = 4;
+    SOpts.Threads = Threads;
     SOpts.CacheDir = Dir.str();
-    SOpts.CacheShards = Shards;
     auto Svc = CompileService::create(SOpts);
     ASSERT_TRUE(bool(Svc)) << Svc.message();
-    ASSERT_EQ((*Svc)->sharedCache()->numShards(), Shards);
 
     for (int Round = 0; Round < 2; ++Round)
       for (std::size_t A = 0; A < Apps.size(); ++A) {
@@ -227,20 +232,19 @@ TEST(ServiceCache, CountersDeterministicAcrossShardCounts) {
         ASSERT_TRUE(R.Ok) << R.ErrorMessage;
       }
 
-    cache::ShardedCacheStats CS = (*Svc)->sharedCache()->stats();
+    cache::CacheStats CS = (*Svc)->sharedCache()->stats();
     if (!First) {
       First = CS;
       EXPECT_GT(CS.MethodHits, 0u);
       EXPECT_GT(CS.MethodMisses, 0u);
       continue;
     }
-    EXPECT_EQ(CS.MethodHits, First->MethodHits) << Shards;
-    EXPECT_EQ(CS.MethodMisses, First->MethodMisses) << Shards;
-    EXPECT_EQ(CS.GroupHits, First->GroupHits) << Shards;
-    EXPECT_EQ(CS.GroupMisses, First->GroupMisses) << Shards;
-    EXPECT_EQ(CS.StoresDeduped, First->StoresDeduped) << Shards;
-    EXPECT_EQ(CS.ResidentEntries, First->ResidentEntries) << Shards;
-    EXPECT_EQ(CS.ResidentBytes, First->ResidentBytes) << Shards;
+    EXPECT_EQ(CS.MethodHits, First->MethodHits) << Threads;
+    EXPECT_EQ(CS.MethodMisses, First->MethodMisses) << Threads;
+    EXPECT_EQ(CS.GroupHits, First->GroupHits) << Threads;
+    EXPECT_EQ(CS.GroupMisses, First->GroupMisses) << Threads;
+    EXPECT_EQ(CS.ResidentEntries, First->ResidentEntries) << Threads;
+    EXPECT_EQ(CS.ResidentBytes, First->ResidentBytes) << Threads;
   }
 }
 
@@ -368,7 +372,6 @@ TEST(ServiceFaults, MutatedJobDegradesAloneInEverySweepPosition) {
     SOpts.JobSlots = 4;
     SOpts.Threads = 4;
     SOpts.CacheDir = Dir.str();
-    SOpts.CacheShards = 4;
     auto Svc = CompileService::create(SOpts);
     ASSERT_TRUE(bool(Svc)) << Svc.message();
 

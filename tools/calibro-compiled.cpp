@@ -6,8 +6,10 @@
 ///
 /// \file
 /// The compile-service front end: accepts many app-build jobs and runs them
-/// concurrently over one shared thread pool, one sharded build cache, and
-/// one global memory budget (service::CompileService).
+/// concurrently over one shared thread pool, one shared build cache, and
+/// one global memory budget (service::CompileService). The cache directory
+/// has the same layout as a calibro-dex2oat store (VERSION, m/, g/), so
+/// `calibro-oatdump --cache-audit` reads either.
 ///
 /// Jobs arrive one per line on stdin:
 ///
@@ -19,7 +21,7 @@
 ///
 ///   printf 'app=Wechat scale=0.3 out=w.oat\napp=Fanqie scale=0.3 out=f.oat\n' |
 ///     calibro-compiled --jobs 4 --threads 8 --cto --ltbo
-///         --cache-dir /tmp/fleet --cache-shards 8
+///         --cache-dir /tmp/fleet --cache-budget 64000000
 ///         --global-memory-budget 8000000 --job-log jobs.jsonl
 ///
 //===----------------------------------------------------------------------===//
@@ -58,9 +60,8 @@ namespace {
       "                         beyond it submissions are rejected and\n"
       "                         retried with backoff (default 8)\n"
       "  --threads <n>          workers of the one shared pool (0 = all)\n"
-      "  --cache-dir <dir>      shared sharded build cache (empty = none)\n"
-      "  --cache-shards <n>     shard count of the shared cache, 1..256\n"
-      "                         (default 8)\n"
+      "  --cache-dir <dir>      shared build cache, the calibro-dex2oat\n"
+      "                         store layout (empty = none)\n"
       "  --cache-budget <bytes> LRU byte budget of the shared cache (0 = "
       "unbounded)\n"
       "  --global-memory-budget <bytes>  bound the SUM of concurrent jobs'\n"
@@ -149,8 +150,6 @@ int main(int argc, char **argv) {
       SOpts.Threads = nextUnsigned(I, argc, argv, 0);
     else if (A == "--cache-dir")
       SOpts.CacheDir = next(I, argc, argv);
-    else if (A == "--cache-shards")
-      SOpts.CacheShards = nextUnsigned(I, argc, argv, 1, 256);
     else if (A == "--cache-budget")
       SOpts.CacheBudgetBytes = nextUnsigned(I, argc, argv, 0, UINT64_MAX);
     else if (A == "--global-memory-budget")
@@ -297,16 +296,14 @@ int main(int argc, char **argv) {
                (unsigned long long)St.PeakQueueDepth,
                (unsigned long long)St.ArbiterPeakBytes);
   if (auto *C = (*Svc)->sharedCache()) {
-    cache::ShardedCacheStats CS = C->stats();
+    cache::CacheStats CS = C->stats();
     std::fprintf(stderr,
                  "cache: %llu/%llu method hits, %llu/%llu group hits, "
-                 "%llu deduped stores, %llu evictions (%llu bytes), "
-                 "%llu resident bytes\n",
+                 "%llu evictions (%llu bytes), %llu resident bytes\n",
                  (unsigned long long)CS.MethodHits,
                  (unsigned long long)(CS.MethodHits + CS.MethodMisses),
                  (unsigned long long)CS.GroupHits,
                  (unsigned long long)(CS.GroupHits + CS.GroupMisses),
-                 (unsigned long long)CS.StoresDeduped,
                  (unsigned long long)CS.Evictions,
                  (unsigned long long)CS.EvictedBytes,
                  (unsigned long long)CS.ResidentBytes);

@@ -14,7 +14,7 @@
 ///   calibro-oatdump --layout-order file.oat # final .text placement, page
 ///                                           # map and affinity-cut summary
 ///   calibro-oatdump --cache-audit <dir>     # audit a build-cache store
-///                                           # (or a daemon's sharded root)
+///                                           # (read-only; any store)
 ///   calibro-oatdump --callgraph --app Wechat --dead-code
 ///                                           # compile the app spec and dump
 ///                                           # its call graph as JSON
@@ -24,7 +24,7 @@
 #include "aarch64/Decoder.h"
 #include "aarch64/PcRel.h"
 #include "analysis/CallGraph.h"
-#include "cache/ShardedCache.h"
+#include "cache/BuildCache.h"
 #include "codegen/SideInfoValidator.h"
 #include "core/Calibro.h"
 #include "oat/Dump.h"
@@ -285,37 +285,24 @@ int dumpLayoutOrder(const oat::OatFile &O, uint32_t PageSize) {
   return 0;
 }
 
-/// Opens a build-cache directory and walks every blob through the same
-/// checksum + decode + side-info validation a warm build would apply.
-/// Returns nonzero when any entry is corrupt.
+/// Walks every blob of a build-cache directory through the same checksum +
+/// decode + side-info validation a warm build would apply. Read-only: a
+/// store stamped by another format is reported, not emptied. Returns
+/// nonzero when the stamp is stale or any entry is corrupt.
 int cacheAudit(const char *Dir) {
-  // A compile-daemon root holds shard stores (s00, s01, ...) and no entries
-  // of its own: audit the shards through the sharded front, which leaves
-  // the root unstamped. Anything else is one plain store.
-  std::unique_ptr<cache::BuildCache> C;
-  if (uint32_t Shards = cache::ShardedBuildCache::shardsIn(Dir)) {
-    auto Sharded = cache::ShardedBuildCache::open(Dir, Shards);
-    if (!Sharded) {
-      std::fprintf(stderr, "%s: %s\n", Dir, Sharded.message().c_str());
-      return 1;
-    }
-    C = std::move(*Sharded);
-  } else {
-    auto Plain = cache::BuildCache::open(Dir);
-    if (!Plain) {
-      std::fprintf(stderr, "%s: %s\n", Dir, Plain.message().c_str());
-      return 1;
-    }
-    C = std::move(*Plain);
-  }
-  cache::CacheAudit A = C->audit();
+  cache::CacheAudit A = cache::BuildCache::auditDir(Dir);
   std::printf("cache audit of %s:\n"
+              "  version stamp:  %s\n"
               "  method entries: %zu (%zu corrupt)\n"
               "  group entries:  %zu (%zu corrupt)\n"
               "  total bytes:    %zu\n",
-              Dir, A.MethodEntries, A.MethodCorrupt, A.GroupEntries,
+              Dir,
+              A.Stamped ? "ok"
+                        : "missing or stale (entries unreadable by this "
+                          "build; left in place)",
+              A.MethodEntries, A.MethodCorrupt, A.GroupEntries,
               A.GroupCorrupt, A.TotalBytes);
-  return (A.MethodCorrupt || A.GroupCorrupt) ? 1 : 0;
+  return (!A.Stamped || A.MethodCorrupt || A.GroupCorrupt) ? 1 : 0;
 }
 
 [[noreturn]] void usage() {

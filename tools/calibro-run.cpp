@@ -18,14 +18,36 @@
 #include "oat/MappedOat.h"
 #include "oat/Serialize.h"
 #include "sim/Simulator.h"
+#include "support/NumericArgs.h"
 #include "verify/OatVerifier.h"
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 using namespace calibro;
+
+namespace {
+
+[[noreturn]] void usage() {
+  std::fprintf(stderr, "usage: calibro-run <file.oat> [--method N] "
+                       "[--args a b ...] [--trace] [--verify]\n"
+                       "  (N and every arg: a decimal integer >= 0)\n");
+  std::exit(2);
+}
+
+/// \p S as a decimal integer in [0, Max]; anything else is a usage error.
+uint64_t unsignedArg(const char *S, uint64_t Max) {
+  auto V = support::parseUnsigned(S, 0, Max);
+  if (!V)
+    usage();
+  return *V;
+}
+
+} // namespace
 
 int main(int argc, char **argv) {
   const char *Path = nullptr;
@@ -35,22 +57,21 @@ int main(int argc, char **argv) {
   bool Verify = false;
   for (int I = 1; I < argc; ++I) {
     if (!std::strcmp(argv[I], "--method") && I + 1 < argc)
-      MethodIdx = static_cast<uint32_t>(std::atoi(argv[++I]));
+      MethodIdx = static_cast<uint32_t>(unsignedArg(argv[++I], UINT32_MAX));
     else if (!std::strcmp(argv[I], "--trace"))
       Trace = true;
     else if (!std::strcmp(argv[I], "--verify"))
       Verify = true;
     else if (!std::strcmp(argv[I], "--args")) {
+      // Tokens starting with '-' end the list, so values are non-negative.
       while (I + 1 < argc && argv[I + 1][0] != '-')
-        Args.push_back(std::atoll(argv[++I]));
+        Args.push_back(
+            static_cast<int64_t>(unsignedArg(argv[++I], INT64_MAX)));
     } else
       Path = argv[I];
   }
-  if (!Path) {
-    std::fprintf(stderr, "usage: calibro-run <file.oat> [--method N] "
-                         "[--args a b ...] [--trace] [--verify]\n");
-    return 2;
-  }
+  if (!Path)
+    usage();
 
   // Map, don't read: the simulator decodes the image once into its own
   // structures, so the file image itself never needs a heap copy.
