@@ -157,6 +157,26 @@ inline ScriptResult runScript(const oat::OatFile &Oat,
   return S;
 }
 
+/// Non-trivial corpus gate: a build of an app with no methods, or an
+/// outlining build that outlined nothing, measures nothing, so every shape
+/// check computed from it would pass vacuously (a scale-0 or mis-parsed
+/// run). Prints a FAIL line naming the build and returns false then.
+inline bool nonTrivialBuild(const std::string &What,
+                            const core::BuildStats &Stats) {
+  if (Stats.NumMethods > 0 && Stats.Ltbo.SequencesOutlined > 0)
+    return true;
+  std::printf("  non-trivial corpus: %s has %zu methods, %zu sequences "
+              "outlined : FAIL\n",
+              What.c_str(), Stats.NumMethods, Stats.Ltbo.SequencesOutlined);
+  return false;
+}
+
+/// Prints the corpus gate's summary line.
+inline void reportCorpusGate(bool Ok) {
+  std::printf("  non-trivial corpus (methods > 0, outlined > 0)  : %s\n",
+              Ok ? "PASS" : "FAIL");
+}
+
 /// Prints one row of numeric cells after a label.
 inline void printRow(const char *Label,
                      const std::vector<std::string> &Cells) {

@@ -32,6 +32,7 @@ int main(int argc, char **argv) {
   std::vector<std::string> Names = {"config"};
   std::vector<std::string> BaseRow, CtoRow, FullRow, ParRow, HfRow;
   double CtoSum = 0, FullSum = 0, ParSum = 0, HfSum = 0;
+  bool Corpus = true;
 
   auto Specs = workload::paperApps(Scale);
   for (const auto &Spec : Specs) {
@@ -49,6 +50,9 @@ int main(int argc, char **argv) {
     core::CalibroOptions HfOpts = plOpts();
     HfOpts.Profile = &ParRun.Prof;
     auto Hf = build(App, HfOpts);
+    Corpus &= nonTrivialBuild(Spec.Name + " CTO+LTBO", Full.Stats);
+    Corpus &= nonTrivialBuild(Spec.Name + " PlOpti", Par.Stats);
+    Corpus &= nonTrivialBuild(Spec.Name + " PlOpti+HfOpti", Hf.Stats);
 
     double B = static_cast<double>(Base.Oat.textBytes());
     auto Pct = [B](const core::BuildResult &R) {
@@ -81,6 +85,7 @@ int main(int argc, char **argv) {
   printRow("CTO+LTBO+PlOpti+HfOpti", HfRow);
 
   std::printf("\nshape checks:\n");
+  reportCorpusGate(Corpus);
   std::printf("  CTO < PlOpti+HfOpti < PlOpti < CTO+LTBO : %s\n",
               (CtoSum < HfSum && HfSum < ParSum && ParSum < FullSum)
                   ? "PASS"
@@ -172,5 +177,5 @@ int main(int argc, char **argv) {
                AllStacked ? "true" : "false");
   std::fclose(J);
   std::printf("\nwrote BENCH_code_size.json\n");
-  return AllStacked ? 0 : 1;
+  return AllStacked && Corpus ? 0 : 1;
 }

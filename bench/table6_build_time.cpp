@@ -142,14 +142,18 @@ int main(int argc, char **argv) {
   std::vector<std::string> Names, BaseRow, FullRow, ParRow, FullPct, ParPct;
   std::vector<double> BaseT, FullT, ParT;
   double FullSum = 0, ParSum = 0;
+  bool Corpus = true;
 
   auto Specs = workload::paperApps(Scale);
   for (const auto &Spec : Specs) {
     dex::App App = workload::makeApp(Spec);
     Names.push_back(Spec.Name);
     double TBase = timedBuild(App, baselineOpts());
-    double TFull = timedBuild(App, ctoLtboOpts());
-    double TPar = timedBuild(App, plOpts());
+    core::BuildStats FullStats, ParStats;
+    double TFull = timedBuild(App, ctoLtboOpts(), nullptr, &FullStats);
+    double TPar = timedBuild(App, plOpts(), nullptr, &ParStats);
+    Corpus &= nonTrivialBuild(Spec.Name + " CTO+LTBO", FullStats);
+    Corpus &= nonTrivialBuild(Spec.Name + " PlOpti", ParStats);
     BaseT.push_back(TBase);
     FullT.push_back(TFull);
     ParT.push_back(TPar);
@@ -180,6 +184,7 @@ int main(int argc, char **argv) {
 
   std::printf("\nshape check: PlOpti growth << K=1 growth : %s\n",
               ParSum < FullSum ? "PASS" : "FAIL");
+  reportCorpusGate(Corpus);
 
   // Ablation: the K trade-off (build time vs. size reduction), Wechat —
   // now with the per-phase breakdown of the parallel link pipeline.
@@ -480,5 +485,5 @@ int main(int argc, char **argv) {
   std::fprintf(J, "\n    ]\n  }\n}\n");
   std::fclose(J);
   std::printf("\nwrote BENCH_build_time.json\n");
-  return 0;
+  return Corpus ? 0 : 1;
 }

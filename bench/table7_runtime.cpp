@@ -29,6 +29,7 @@ int main(int argc, char **argv) {
 
   std::vector<std::string> Names, BaseRow, ParRow, HfRow, ParPct, HfPct;
   double ParSum = 0, HfSum = 0;
+  bool Corpus = true;
 
   auto Specs = workload::paperApps(Scale);
   for (const auto &Spec : Specs) {
@@ -43,6 +44,8 @@ int main(int argc, char **argv) {
     core::CalibroOptions HfOpts = plOpts();
     HfOpts.Profile = &ParRun.Prof;
     auto Hf = build(App, HfOpts);
+    Corpus &= nonTrivialBuild(Spec.Name + " PlOpti", Par.Stats);
+    Corpus &= nonTrivialBuild(Spec.Name + " PlOpti+HfOpti", Hf.Stats);
 
     uint64_t BaseCycles = runScript(Base.Oat, Script).Cycles;
     uint64_t HfCycles = runScript(Hf.Oat, Script).Cycles;
@@ -75,6 +78,7 @@ int main(int argc, char **argv) {
 
   std::printf("\nshape check: HfOpti mitigates the degradation : %s\n",
               HfSum < ParSum ? "PASS" : "FAIL");
+  reportCorpusGate(Corpus);
 
   // Ablation: hot-coverage threshold sweep (paper fixes 80%).
   const auto &Spec = Specs[5];
@@ -102,5 +106,5 @@ int main(int argc, char **argv) {
                                           double(BaseBytes)))
                     .c_str());
   }
-  return 0;
+  return Corpus ? 0 : 1;
 }

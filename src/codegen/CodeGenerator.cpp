@@ -546,7 +546,6 @@ CompiledMethod CodeGenerator::compile(const hir::HGraph &G) const {
   // Preserve only the home registers this method touches.
   uint16_t NumSavedHomes = 0;
   {
-    std::vector<uint16_t> Regs;
     auto Note = [&](uint16_t V) {
       if (V < NumHomeRegs && V + 1 > NumSavedHomes)
         NumSavedHomes = V + 1;
@@ -557,10 +556,7 @@ CompiledMethod CodeGenerator::compile(const hir::HGraph &G) const {
       for (const auto &I : B.Insns) {
         if (auto D = hir::defOf(I))
           Note(*D);
-        Regs.clear();
-        hir::usesOf(I, Regs);
-        for (uint16_t V : Regs)
-          Note(V);
+        hir::forEachUse(I, Note);
       }
   }
 

@@ -9,7 +9,6 @@
 #include "support/Compiler.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace calibro;
 using namespace calibro::hir;
@@ -130,36 +129,27 @@ Expected<HGraph> hir::buildHGraph(const dex::Method &M) {
 
   std::size_t N = M.Code.size();
 
-  // Pass 1: find block leaders.
-  std::vector<bool> Leader(N, false);
-  Leader[0] = true;
+  // Pass 1: find block leaders. BlockOf[Pc] is NotLeader unless Pc starts a
+  // block; leaders are then numbered with their block ids in pc order.
+  constexpr uint32_t NotLeader = ~uint32_t(0);
+  std::vector<uint32_t> BlockOf(N, NotLeader);
+  BlockOf[0] = 0;
   for (std::size_t Pc = 0; Pc < N; ++Pc) {
     const dex::Insn &I = M.Code[Pc];
-    if (isDexBranch(I.Opcode)) {
-      Leader[I.Target] = true;
-      if (Pc + 1 < N)
-        Leader[Pc + 1] = true;
-    } else if (I.Opcode == dex::Op::Goto) {
-      Leader[I.Target] = true;
-      if (Pc + 1 < N)
-        Leader[Pc + 1] = true;
-    } else if (I.Opcode == dex::Op::Switch) {
+    const bool Branch = isDexBranch(I.Opcode);
+    if (Branch || I.Opcode == dex::Op::Goto)
+      BlockOf[I.Target] = 0;
+    else if (I.Opcode == dex::Op::Switch)
       for (uint32_t T : M.SwitchTables[static_cast<std::size_t>(I.Imm)])
-        Leader[T] = true;
-      if (Pc + 1 < N)
-        Leader[Pc + 1] = true;
-    } else if (dex::endsBlock(I.Opcode)) {
-      if (Pc + 1 < N)
-        Leader[Pc + 1] = true;
-    }
+        BlockOf[T] = 0;
+    if ((Branch || dex::endsBlock(I.Opcode)) && Pc + 1 < N)
+      BlockOf[Pc + 1] = 0;
   }
-
-  // Map every leader pc to its block id.
-  std::map<uint32_t, uint32_t> BlockOf;
   uint32_t NumBlocks = 0;
-  for (std::size_t Pc = 0; Pc < N; ++Pc)
-    if (Leader[Pc])
-      BlockOf[static_cast<uint32_t>(Pc)] = NumBlocks++;
+  for (uint32_t &B : BlockOf)
+    if (B != NotLeader)
+      B = NumBlocks++;
+  auto isLeader = [&](std::size_t Pc) { return BlockOf[Pc] != NotLeader; };
 
   HGraph G;
   G.MethodIdx = M.Idx;
@@ -174,8 +164,14 @@ Expected<HGraph> hir::buildHGraph(const dex::Method &M) {
   // Pass 2: translate instructions block by block.
   uint32_t Cur = ~uint32_t(0);
   for (std::size_t Pc = 0; Pc < N; ++Pc) {
-    if (Leader[Pc])
-      Cur = BlockOf.at(static_cast<uint32_t>(Pc));
+    if (isLeader(Pc)) {
+      Cur = BlockOf[Pc];
+      // Room for the block's instructions plus a fallthrough Goto.
+      std::size_t End = Pc + 1;
+      while (End < N && !isLeader(End))
+        ++End;
+      G.Blocks[Cur].Insns.reserve(End - Pc + 1);
+    }
     HBlock &BB = G.Blocks[Cur];
     const dex::Insn &I = M.Code[Pc];
     HInsn H;
@@ -234,15 +230,15 @@ Expected<HGraph> hir::buildHGraph(const dex::Method &M) {
       H.A = I.A;
       H.B = Zero ? dex::NoReg : I.B;
       BB.Insns.push_back(H);
-      BB.Succs.push_back(BlockOf.at(I.Target));                 // Taken.
-      BB.Succs.push_back(BlockOf.at(static_cast<uint32_t>(Pc) + 1)); // Fall.
+      BB.Succs.push_back(BlockOf[I.Target]); // Taken.
+      BB.Succs.push_back(BlockOf[Pc + 1]);   // Fallthrough.
       continue;
     }
 
     case dex::Op::Goto:
       H.Op = HOp::Goto;
       BB.Insns.push_back(H);
-      BB.Succs.push_back(BlockOf.at(I.Target));
+      BB.Succs.push_back(BlockOf[I.Target]);
       continue;
 
     case dex::Op::Switch: {
@@ -250,8 +246,8 @@ Expected<HGraph> hir::buildHGraph(const dex::Method &M) {
       H.A = I.A;
       BB.Insns.push_back(H);
       for (uint32_t T : M.SwitchTables[static_cast<std::size_t>(I.Imm)])
-        BB.Succs.push_back(BlockOf.at(T));
-      BB.Succs.push_back(BlockOf.at(static_cast<uint32_t>(Pc) + 1)); // Default.
+        BB.Succs.push_back(BlockOf[T]);
+      BB.Succs.push_back(BlockOf[Pc + 1]); // Default.
       continue;
     }
 
@@ -303,12 +299,12 @@ Expected<HGraph> hir::buildHGraph(const dex::Method &M) {
     BB.Insns.push_back(H);
     // A non-terminating instruction right before a leader needs an explicit
     // fallthrough Goto to keep blocks self-contained.
-    if (Pc + 1 < N && Leader[Pc + 1]) {
+    if (Pc + 1 < N && isLeader(Pc + 1)) {
       HInsn Jump;
       Jump.Op = HOp::Goto;
       Jump.DexPc = static_cast<uint32_t>(Pc);
       BB.Insns.push_back(Jump);
-      BB.Succs.push_back(BlockOf.at(static_cast<uint32_t>(Pc) + 1));
+      BB.Succs.push_back(BlockOf[Pc + 1]);
     }
   }
 
@@ -329,10 +325,24 @@ Error hir::verifyHGraph(const HGraph &G) {
   };
   if (G.Blocks.empty())
     return makeError("HGraph '" + G.Name + "': no blocks");
+  if (G.NumRegs > MaxRegs)
+    return makeError("HGraph '" + G.Name +
+                     "': register file larger than 64 registers");
 
   for (const auto &B : G.Blocks) {
     if (B.Insns.empty())
       return Fail(B.Id, "empty block");
+    for (const HInsn &I : B.Insns) {
+      if (I.NumArgs > I.Args.size())
+        return Fail(B.Id, "more than four invoke arguments");
+      bool InRange = true;
+      auto Check = [&](uint16_t R) { InRange &= R < G.NumRegs; };
+      if (auto D = defOf(I))
+        Check(*D);
+      forEachUse(I, Check);
+      if (!InRange)
+        return Fail(B.Id, "register operand outside the register file");
+    }
     for (std::size_t K = 0; K + 1 < B.Insns.size(); ++K)
       if (isBlockTerminator(B.Insns[K].Op))
         return Fail(B.Id, "terminator before the end of the block");

@@ -22,6 +22,7 @@
 #define CALIBRO_HIR_HGRAPH_H
 
 #include "dex/Dex.h"
+#include "support/Compiler.h"
 #include "support/Error.h"
 
 #include <array>
@@ -32,6 +33,12 @@
 
 namespace calibro {
 namespace hir {
+
+/// Largest register file an HGraph may have. dex::verifyMethod enforces the
+/// same bound, so every register fits one bit of a uint64_t and one slot of
+/// a fixed 64-entry array: the passes keep their per-register state in such
+/// flat arrays, and verifyHGraph rejects graphs that would index past them.
+inline constexpr uint16_t MaxRegs = 64;
 
 /// HGraph operations. Mostly 1:1 with dex ops; conditional branches are
 /// unified under HOp::If with a condition kind.
@@ -91,8 +98,57 @@ bool isRemovableIfDead(HOp Op);
 /// Returns the virtual register defined by \p I, if any.
 std::optional<uint16_t> defOf(const HInsn &I);
 
-/// Appends the virtual registers read by \p I to \p Uses.
-void usesOf(const HInsn &I, std::vector<uint16_t> &Uses);
+/// Calls \p Fn on every virtual register \p I reads, in operand order. With
+/// a const \p I, \p Fn receives each register by value; with a mutable one
+/// it receives a reference and may rewrite the operand in place. An If that
+/// compares against zero (B == dex::NoReg) reads A only, and an invoke reads
+/// its first NumArgs arguments.
+template <typename InsnT, typename FnT> void forEachUse(InsnT &I, FnT &&Fn) {
+  switch (I.Op) {
+  case HOp::Const:
+  case HOp::Goto:
+  case HOp::ReturnVoid:
+  case HOp::NewInstance:
+    return;
+  case HOp::Move:
+  case HOp::AddImm:
+  case HOp::IGet:
+    Fn(I.B);
+    return;
+  case HOp::Add:
+  case HOp::Sub:
+  case HOp::Mul:
+  case HOp::Div:
+  case HOp::And:
+  case HOp::Or:
+  case HOp::Xor:
+  case HOp::Shl:
+  case HOp::Shr:
+    Fn(I.B);
+    Fn(I.C);
+    return;
+  case HOp::If:
+    Fn(I.A);
+    if (I.B != dex::NoReg)
+      Fn(I.B);
+    return;
+  case HOp::Switch:
+  case HOp::Return:
+  case HOp::Throw:
+    Fn(I.A);
+    return;
+  case HOp::InvokeStatic:
+  case HOp::InvokeVirtual:
+    for (uint8_t K = 0; K < I.NumArgs; ++K)
+      Fn(I.Args[K]);
+    return;
+  case HOp::IPut:
+    Fn(I.A);
+    Fn(I.B);
+    return;
+  }
+  CALIBRO_UNREACHABLE("unknown HOp in forEachUse");
+}
 
 /// A basic block: straight-line instructions ending in a terminator, plus
 /// explicit successor edges.
@@ -130,8 +186,9 @@ struct HGraph {
 /// bytecode; code generation handles them directly).
 Expected<HGraph> buildHGraph(const dex::Method &M);
 
-/// Checks HGraph invariants: terminator placement, successor-shape per
-/// terminator kind, and Pred/Succ symmetry.
+/// Checks HGraph invariants: a register file of at most MaxRegs registers,
+/// every register operand inside it, terminator placement, successor-shape
+/// per terminator kind, and Pred/Succ symmetry.
 Error verifyHGraph(const HGraph &G);
 
 } // namespace hir

@@ -9,10 +9,10 @@
 #include "support/Compiler.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
-#include <map>
 #include <optional>
-#include <tuple>
 #include <unordered_map>
 
 using namespace calibro;
@@ -43,55 +43,6 @@ std::optional<uint16_t> hir::defOf(const HInsn &I) {
   default:
     return std::nullopt;
   }
-}
-
-void hir::usesOf(const HInsn &I, std::vector<uint16_t> &Uses) {
-  switch (I.Op) {
-  case HOp::Const:
-  case HOp::Goto:
-  case HOp::ReturnVoid:
-  case HOp::NewInstance:
-    return;
-  case HOp::Move:
-  case HOp::AddImm:
-    Uses.push_back(I.B);
-    return;
-  case HOp::Add:
-  case HOp::Sub:
-  case HOp::Mul:
-  case HOp::Div:
-  case HOp::And:
-  case HOp::Or:
-  case HOp::Xor:
-  case HOp::Shl:
-  case HOp::Shr:
-    Uses.push_back(I.B);
-    Uses.push_back(I.C);
-    return;
-  case HOp::If:
-    Uses.push_back(I.A);
-    if (I.B != dex::NoReg)
-      Uses.push_back(I.B);
-    return;
-  case HOp::Switch:
-  case HOp::Return:
-  case HOp::Throw:
-    Uses.push_back(I.A);
-    return;
-  case HOp::InvokeStatic:
-  case HOp::InvokeVirtual:
-    for (uint8_t K = 0; K < I.NumArgs; ++K)
-      Uses.push_back(I.Args[K]);
-    return;
-  case HOp::IGet:
-    Uses.push_back(I.B);
-    return;
-  case HOp::IPut:
-    Uses.push_back(I.A);
-    Uses.push_back(I.B);
-    return;
-  }
-  CALIBRO_UNREACHABLE("unknown HOp in usesOf");
 }
 
 namespace {
@@ -171,47 +122,99 @@ std::size_t compactAndRemap(HGraph &G) {
   return Removed;
 }
 
+uint64_t regBit(uint16_t R) { return uint64_t(1) << R; }
+
+/// Local CSE's expression table: open addressing with linear probing, keyed
+/// by (op, vn1, vn2, imm), allocated once per method with room for twice
+/// the instructions of its largest block, so it never fills past half. A
+/// slot belongs to the current block only while its stamp equals the
+/// block's generation, so starting the next block empties the table
+/// without touching it.
+class ExprTable {
+public:
+  struct Slot {
+    uint32_t Gen = 0;
+    uint32_t Vn1 = 0, Vn2 = 0;
+    uint32_t RegVnAtDef = 0;
+    int64_t Imm = 0;
+    uint16_t Reg = 0;
+    uint8_t Op = 0;
+  };
+
+  explicit ExprTable(std::size_t MaxBlockInsns)
+      : Slots(std::bit_ceil(std::max<std::size_t>(2 * MaxBlockInsns, 16))) {}
+
+  void nextBlock() { ++Gen; }
+
+  /// The current block's slot for the key: live when the key was recorded
+  /// in this block, otherwise the free slot where record() puts it.
+  Slot &find(uint8_t Op, uint32_t Vn1, uint32_t Vn2, int64_t Imm) {
+    std::size_t Mask = Slots.size() - 1;
+    for (std::size_t I = hash(Op, Vn1, Vn2, Imm) & Mask;; I = (I + 1) & Mask) {
+      Slot &S = Slots[I];
+      if (S.Gen != Gen || (S.Op == Op && S.Vn1 == Vn1 && S.Vn2 == Vn2 &&
+                           S.Imm == Imm))
+        return S;
+    }
+  }
+
+  bool live(const Slot &S) const { return S.Gen == Gen; }
+
+  /// Makes \p Reg (value number \p Vn) the latest holder of \p S's key.
+  void record(Slot &S, uint8_t Op, uint32_t Vn1, uint32_t Vn2, int64_t Imm,
+              uint16_t Reg, uint32_t Vn) {
+    S = {Gen, Vn1, Vn2, Vn, Imm, Reg, Op};
+  }
+
+private:
+  static std::size_t hash(uint8_t Op, uint32_t Vn1, uint32_t Vn2,
+                          int64_t Imm) {
+    uint64_t H = (uint64_t(Vn1) << 32 | Vn2) ^
+                 (static_cast<uint64_t>(Imm) * 0x9e3779b97f4a7c15ULL) ^ Op;
+    H = (H ^ (H >> 33)) * 0xff51afd7ed558ccdULL; // MurmurHash3's fmix64.
+    return static_cast<std::size_t>(H ^ (H >> 33));
+  }
+
+  std::vector<Slot> Slots;
+  uint32_t Gen = 0;
+};
+
 } // namespace
 
 std::size_t hir::runConstantFolding(HGraph &G) {
-  assert(G.NumRegs <= 64 && "register file too large for bitmask liveness");
+  assert(G.NumRegs <= MaxRegs && "register file too large for flat state");
   std::size_t Simplified = 0;
+  // Known[r] is r's value while bit r of KnownMask is set. Arguments arrive
+  // in v0..vNumArgs-1 of the entry block; they are not constants. Everything
+  // else starts unknown too, so no seeding is needed.
+  std::array<int64_t, MaxRegs> Known{};
   for (auto &B : G.Blocks) {
-    std::unordered_map<uint16_t, int64_t> Known;
-    // Arguments arrive in v0..vNumArgs-1 of the entry block; they are not
-    // constants. Everything else starts unknown too, so no seeding needed.
+    uint64_t KnownMask = 0;
+    auto isKnown = [&](uint16_t R) { return (KnownMask & regBit(R)) != 0; };
+    auto setKnown = [&](uint16_t R, int64_t V) {
+      Known[R] = V;
+      KnownMask |= regBit(R);
+    };
+    auto forget = [&](uint16_t R) { KnownMask &= ~regBit(R); };
     for (auto &I : B.Insns) {
       switch (I.Op) {
       case HOp::Const:
-        Known[I.A] = I.Imm;
+        setKnown(I.A, I.Imm);
         continue;
-      case HOp::Move: {
-        auto It = Known.find(I.B);
-        if (It != Known.end()) {
+      case HOp::Move:
+      case HOp::AddImm:
+        if (isKnown(I.B)) {
+          int64_t Add = I.Op == HOp::AddImm ? I.Imm : 0;
           I.Op = HOp::Const;
-          I.Imm = It->second;
+          I.Imm = static_cast<int64_t>(static_cast<uint64_t>(Known[I.B]) +
+                                       static_cast<uint64_t>(Add));
           I.B = 0;
-          Known[I.A] = I.Imm;
+          setKnown(I.A, I.Imm);
           ++Simplified;
         } else {
-          Known.erase(I.A);
+          forget(I.A);
         }
         continue;
-      }
-      case HOp::AddImm: {
-        auto It = Known.find(I.B);
-        if (It != Known.end()) {
-          I.Op = HOp::Const;
-          I.Imm = static_cast<int64_t>(static_cast<uint64_t>(It->second) +
-                                       static_cast<uint64_t>(I.Imm));
-          I.B = 0;
-          Known[I.A] = I.Imm;
-          ++Simplified;
-        } else {
-          Known.erase(I.A);
-        }
-        continue;
-      }
       case HOp::Add:
       case HOp::Sub:
       case HOp::Mul:
@@ -220,25 +223,22 @@ std::size_t hir::runConstantFolding(HGraph &G) {
       case HOp::Or:
       case HOp::Xor:
       case HOp::Shl:
-      case HOp::Shr: {
-        auto ItB = Known.find(I.B);
-        auto ItC = Known.find(I.C);
-        if (ItB != Known.end() && ItC != Known.end()) {
-          if (auto Val = evalBinOp(I.Op, ItB->second, ItC->second)) {
+      case HOp::Shr:
+        if (isKnown(I.B) && isKnown(I.C)) {
+          if (auto Val = evalBinOp(I.Op, Known[I.B], Known[I.C])) {
             I.Op = HOp::Const;
             I.Imm = *Val;
             I.B = I.C = 0;
-            Known[I.A] = *Val;
+            setKnown(I.A, *Val);
             ++Simplified;
             continue;
           }
         }
-        Known.erase(I.A);
+        forget(I.A);
         continue;
-      }
       default:
         if (auto D = defOf(I))
-          Known.erase(*D);
+          forget(*D);
         continue;
       }
     }
@@ -247,22 +247,25 @@ std::size_t hir::runConstantFolding(HGraph &G) {
 }
 
 std::size_t hir::runDeadCodeElim(HGraph &G) {
-  assert(G.NumRegs <= 64 && "register file too large for bitmask liveness");
-  std::size_t NB = G.Blocks.size();
-  std::vector<uint64_t> LiveIn(NB, 0), LiveOut(NB, 0);
-
-  auto transfer = [&](const HBlock &B, uint64_t Live) {
-    std::vector<uint16_t> Uses;
-    for (auto It = B.Insns.rbegin(); It != B.Insns.rend(); ++It) {
-      if (auto D = defOf(*It))
-        Live &= ~(uint64_t(1) << *D);
-      Uses.clear();
-      usesOf(*It, Uses);
-      for (uint16_t U : Uses)
-        Live |= uint64_t(1) << U;
-    }
-    return Live;
+  assert(G.NumRegs <= MaxRegs && "register file too large for bitmasks");
+  // Per-block liveness summary: Gen holds the registers read before any
+  // write in the block, Kill the registers it writes, so
+  // In = Gen | (Out & ~Kill).
+  struct Liveness {
+    uint64_t Gen = 0, Kill = 0, In = 0, Out = 0;
   };
+  std::size_t NB = G.Blocks.size();
+  std::vector<Liveness> L(NB);
+  for (std::size_t B = 0; B < NB; ++B) {
+    const auto &Insns = G.Blocks[B].Insns;
+    for (auto It = Insns.rbegin(); It != Insns.rend(); ++It) {
+      if (auto D = defOf(*It)) {
+        L[B].Gen &= ~regBit(*D);
+        L[B].Kill |= regBit(*D);
+      }
+      forEachUse(*It, [&](uint16_t U) { L[B].Gen |= regBit(U); });
+    }
+  }
 
   // Backward fixpoint.
   bool Changed = true;
@@ -271,122 +274,65 @@ std::size_t hir::runDeadCodeElim(HGraph &G) {
     for (std::size_t B = NB; B-- > 0;) {
       uint64_t Out = 0;
       for (uint32_t S : G.Blocks[B].Succs)
-        Out |= LiveIn[S];
-      uint64_t In = transfer(G.Blocks[B], Out);
-      if (Out != LiveOut[B] || In != LiveIn[B]) {
-        LiveOut[B] = Out;
-        LiveIn[B] = In;
+        Out |= L[S].In;
+      uint64_t In = L[B].Gen | (Out & ~L[B].Kill);
+      if (Out != L[B].Out || In != L[B].In) {
+        L[B].Out = Out;
+        L[B].In = In;
         Changed = true;
       }
     }
   }
 
-  // Sweep: delete removable instructions with dead destinations.
+  // Sweep: delete removable instructions with dead destinations. Survivors
+  // are packed towards the end of the block during the backward walk, then
+  // the dead prefix is erased.
   std::size_t Removed = 0;
-  std::vector<uint16_t> Uses;
   for (std::size_t B = 0; B < NB; ++B) {
-    HBlock &BB = G.Blocks[B];
-    uint64_t Live = LiveOut[B];
-    std::vector<HInsn> Kept;
-    Kept.reserve(BB.Insns.size());
-    for (auto It = BB.Insns.rbegin(); It != BB.Insns.rend(); ++It) {
-      auto D = defOf(*It);
-      bool Dead = D && isRemovableIfDead(It->Op) &&
-                  (Live & (uint64_t(1) << *D)) == 0;
-      if (Dead) {
+    auto &Insns = G.Blocks[B].Insns;
+    uint64_t Live = L[B].Out;
+    std::size_t Keep = Insns.size();
+    for (std::size_t K = Insns.size(); K-- > 0;) {
+      const HInsn &I = Insns[K];
+      auto D = defOf(I);
+      if (D && isRemovableIfDead(I.Op) && (Live & regBit(*D)) == 0) {
         ++Removed;
         continue;
       }
       if (D)
-        Live &= ~(uint64_t(1) << *D);
-      Uses.clear();
-      usesOf(*It, Uses);
-      for (uint16_t U : Uses)
-        Live |= uint64_t(1) << U;
-      Kept.push_back(*It);
+        Live &= ~regBit(*D);
+      forEachUse(I, [&](uint16_t U) { Live |= regBit(U); });
+      if (--Keep != K)
+        Insns[Keep] = I;
     }
-    std::reverse(Kept.begin(), Kept.end());
-    BB.Insns = std::move(Kept);
+    Insns.erase(Insns.begin(), Insns.begin() + Keep);
   }
   return Removed;
 }
 
-namespace {
-
-/// Applies \p Fn to every register-use field of \p I (mutable).
-template <typename FnT> void forEachUseReg(HInsn &I, FnT &&Fn) {
-  switch (I.Op) {
-  case HOp::Const:
-  case HOp::Goto:
-  case HOp::ReturnVoid:
-  case HOp::NewInstance:
-    return;
-  case HOp::Move:
-  case HOp::AddImm:
-    Fn(I.B);
-    return;
-  case HOp::Add:
-  case HOp::Sub:
-  case HOp::Mul:
-  case HOp::Div:
-  case HOp::And:
-  case HOp::Or:
-  case HOp::Xor:
-  case HOp::Shl:
-  case HOp::Shr:
-    Fn(I.B);
-    Fn(I.C);
-    return;
-  case HOp::If:
-    Fn(I.A);
-    if (I.B != dex::NoReg)
-      Fn(I.B);
-    return;
-  case HOp::Switch:
-  case HOp::Return:
-  case HOp::Throw:
-    Fn(I.A);
-    return;
-  case HOp::InvokeStatic:
-  case HOp::InvokeVirtual:
-    for (uint8_t K = 0; K < I.NumArgs; ++K)
-      Fn(I.Args[K]);
-    return;
-  case HOp::IGet:
-    Fn(I.B);
-    return;
-  case HOp::IPut:
-    Fn(I.A);
-    Fn(I.B);
-    return;
-  }
-  CALIBRO_UNREACHABLE("unknown HOp in forEachUseReg");
-}
-
-} // namespace
-
 std::size_t hir::runCopyPropagation(HGraph &G) {
+  assert(G.NumRegs <= MaxRegs && "register file too large for flat state");
   std::size_t Changed = 0;
+  // CopyOf[r] is the register r currently mirrors while bit r of HasCopy is
+  // set.
+  std::array<uint16_t, MaxRegs> CopyOf{};
   for (auto &B : G.Blocks) {
-    // CopyOf[r] = the register r currently mirrors; NoReg = none.
-    std::vector<uint16_t> CopyOf(G.NumRegs, dex::NoReg);
-    auto resolve = [&](uint16_t R) {
-      return CopyOf[R] != dex::NoReg ? CopyOf[R] : R;
-    };
+    uint64_t HasCopy = 0;
     auto killReg = [&](uint16_t R) {
-      CopyOf[R] = dex::NoReg;
-      for (auto &C : CopyOf)
-        if (C == R)
-          C = dex::NoReg;
+      HasCopy &= ~regBit(R);
+      for (uint64_t M = HasCopy; M; M &= M - 1) {
+        auto K = static_cast<uint16_t>(std::countr_zero(M));
+        if (CopyOf[K] == R)
+          HasCopy &= ~regBit(K);
+      }
     };
 
-    std::vector<HInsn> Kept;
-    Kept.reserve(B.Insns.size());
+    // Surviving instructions are compacted in place.
+    std::size_t Keep = 0;
     for (HInsn &I : B.Insns) {
-      forEachUseReg(I, [&](uint16_t &R) {
-        uint16_t Src = resolve(R);
-        if (Src != R) {
-          R = Src;
+      forEachUse(I, [&](uint16_t &R) {
+        if (HasCopy & regBit(R)) {
+          R = CopyOf[R];
           ++Changed;
         }
       });
@@ -397,43 +343,43 @@ std::size_t hir::runCopyPropagation(HGraph &G) {
         }
         killReg(I.A);
         CopyOf[I.A] = I.B;
+        HasCopy |= regBit(I.A);
       } else if (auto D = defOf(I)) {
         killReg(*D);
       }
-      Kept.push_back(I);
+      B.Insns[Keep++] = I;
     }
-    B.Insns = std::move(Kept);
+    B.Insns.resize(Keep);
   }
   return Changed;
 }
 
 std::size_t hir::runLocalCse(HGraph &G) {
+  assert(G.NumRegs <= MaxRegs && "register file too large for flat state");
   std::size_t Eliminated = 0;
+  // Classic local value numbering. A register's value number changes on
+  // every definition, so stale expression entries self-invalidate.
+  std::array<uint32_t, MaxRegs> RegVn;
+  std::size_t MaxBlockInsns = 0;
+  for (const auto &B : G.Blocks)
+    MaxBlockInsns = std::max(MaxBlockInsns, B.Insns.size());
+  ExprTable Exprs(MaxBlockInsns);
   for (auto &B : G.Blocks) {
-    // Classic local value numbering. A register's value number changes on
-    // every definition, so stale expression entries self-invalidate.
-    std::vector<uint32_t> RegVn(G.NumRegs, 0);
-    uint32_t NextVn = G.NumRegs;
-    struct Available {
-      uint16_t Reg;
-      uint32_t RegVnAtDef;
-    };
-    std::map<std::tuple<uint8_t, uint32_t, uint32_t, int64_t>, Available>
-        Exprs;
     for (uint16_t R = 0; R < G.NumRegs; ++R)
       RegVn[R] = R; // Initial distinct value numbers.
+    uint32_t NextVn = G.NumRegs;
+    Exprs.nextBlock();
 
     for (HInsn &I : B.Insns) {
-      bool Pure = false;
-      std::tuple<uint8_t, uint32_t, uint32_t, int64_t> Key;
+      uint32_t Vn1 = 0, Vn2 = 0;
+      int64_t Imm = 0;
       switch (I.Op) {
       case HOp::Const:
-        Pure = true;
-        Key = {static_cast<uint8_t>(I.Op), 0, 0, I.Imm};
+        Imm = I.Imm;
         break;
       case HOp::AddImm:
-        Pure = true;
-        Key = {static_cast<uint8_t>(I.Op), RegVn[I.B], 0, I.Imm};
+        Vn1 = RegVn[I.B];
+        Imm = I.Imm;
         break;
       case HOp::Add:
       case HOp::Sub:
@@ -444,39 +390,35 @@ std::size_t hir::runLocalCse(HGraph &G) {
       case HOp::Xor:
       case HOp::Shl:
       case HOp::Shr:
-        Pure = true;
-        Key = {static_cast<uint8_t>(I.Op), RegVn[I.B], RegVn[I.C], 0};
+        Vn1 = RegVn[I.B];
+        Vn2 = RegVn[I.C];
         break;
-      default:
-        break;
-      }
-
-      if (Pure) {
-        auto It = Exprs.find(Key);
-        if (It != Exprs.end() &&
-            RegVn[It->second.Reg] == It->second.RegVnAtDef &&
-            It->second.Reg != I.A) {
-          // Same value is live in another register: reuse it.
-          uint16_t Holder = It->second.Reg;
-          I.Op = HOp::Move;
-          I.B = Holder;
-          I.C = 0;
-          I.Imm = 0;
-          ++Eliminated;
-          // The destination now shares the holder's value number.
-          RegVn[I.A] = RegVn[Holder];
-          continue;
-        }
-        RegVn[I.A] = NextVn++;
-        Exprs[Key] = {I.A, RegVn[I.A]};
-        continue;
-      }
-      if (I.Op == HOp::Move) {
+      case HOp::Move:
         RegVn[I.A] = RegVn[I.B]; // Copies share a value number.
         continue;
+      default:
+        if (auto D = defOf(I))
+          RegVn[*D] = NextVn++;
+        continue;
       }
-      if (auto D = defOf(I))
-        RegVn[*D] = NextVn++;
+
+      // A pure expression.
+      auto Op = static_cast<uint8_t>(I.Op);
+      ExprTable::Slot &S = Exprs.find(Op, Vn1, Vn2, Imm);
+      if (Exprs.live(S) && RegVn[S.Reg] == S.RegVnAtDef && S.Reg != I.A) {
+        // Same value is live in another register: reuse it.
+        uint16_t Holder = S.Reg;
+        I.Op = HOp::Move;
+        I.B = Holder;
+        I.C = 0;
+        I.Imm = 0;
+        ++Eliminated;
+        // The destination now shares the holder's value number.
+        RegVn[I.A] = RegVn[Holder];
+        continue;
+      }
+      RegVn[I.A] = NextVn++;
+      Exprs.record(S, Op, Vn1, Vn2, Imm, I.A, RegVn[I.A]);
     }
   }
   return Eliminated;

@@ -4,10 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HirPassOracle.h"
+
 #include "hir/HGraph.h"
 #include "hir/Passes.h"
+#include "verify/Differential.h"
+#include "workload/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 using namespace calibro;
 using namespace calibro::hir;
@@ -400,6 +406,295 @@ TEST(LocalCse, DivisionIsEligible) {
   auto G = buildHGraph(M);
   ASSERT_TRUE(bool(G));
   EXPECT_EQ(runLocalCse(*G), 1u);
+}
+
+TEST(HGraphVerify, RejectsRegisterFileOver64) {
+  auto G = buildHGraph(straightLine());
+  ASSERT_TRUE(bool(G));
+  G->NumRegs = 65;
+  Error E = verifyHGraph(*G);
+  ASSERT_TRUE(bool(E));
+  EXPECT_NE(E.message().find("larger than 64"), std::string::npos)
+      << E.message();
+}
+
+TEST(HGraphVerify, RejectsOperandOutsideRegisterFile) {
+  // straightLine has 8 registers; v8 is one past the end, as a use and as a
+  // definition.
+  for (bool AsDef : {false, true}) {
+    auto G = buildHGraph(straightLine());
+    ASSERT_TRUE(bool(G));
+    HInsn &Add = G->Blocks[0].Insns[2];
+    ASSERT_EQ(Add.Op, HOp::Add);
+    (AsDef ? Add.A : Add.C) = 8;
+    Error E = verifyHGraph(*G);
+    ASSERT_TRUE(bool(E)) << (AsDef ? "def" : "use");
+    EXPECT_NE(E.message().find("outside the register file"),
+              std::string::npos)
+        << E.message();
+  }
+}
+
+TEST(HGraphVerify, AllowsNoRegWhereIfAndInvokeUseIt) {
+  // if-eqz has no second operand and a void invoke no result register:
+  // both carry dex::NoReg and must verify.
+  dex::Method M;
+  M.Name = "noreg";
+  M.NumRegs = 4;
+  M.NumArgs = 1;
+  M.ReturnsValue = true;
+  dex::Insn Call;
+  Call.Opcode = dex::Op::InvokeStatic;
+  Call.A = dex::NoReg;
+  Call.Args[0] = 0;
+  Call.NumArgs = 1;
+  dex::Insn If;
+  If.Opcode = dex::Op::IfEqz;
+  If.A = 0;
+  If.Target = 3;
+  M.Code = {Call, If, makeRet(0), makeRet(0)};
+  auto G = buildHGraph(M);
+  ASSERT_TRUE(bool(G)) << G.message();
+  EXPECT_EQ(G->Blocks[0].Insns[0].A, dex::NoReg);
+  EXPECT_EQ(G->Blocks[0].Insns[1].B, dex::NoReg);
+  EXPECT_FALSE(bool(verifyHGraph(*G)));
+}
+
+// Differential oracle: the flat-scratch passes against the map-based
+// reference passes of HirPassOracle.h, pass by pass.
+
+::testing::AssertionResult sameGraph(const HGraph &X, const HGraph &Y) {
+  auto Fail = [&](uint32_t B, const std::string &What) {
+    return ::testing::AssertionFailure()
+           << "'" << X.Name << "' block " << B << ": " << What;
+  };
+  if (X.MethodIdx != Y.MethodIdx || X.Name != Y.Name ||
+      X.NumRegs != Y.NumRegs || X.NumArgs != Y.NumArgs ||
+      X.ReturnsValue != Y.ReturnsValue)
+    return Fail(0, "method facts differ");
+  if (X.Blocks.size() != Y.Blocks.size())
+    return Fail(0, "block counts differ");
+  for (std::size_t B = 0; B < X.Blocks.size(); ++B) {
+    const HBlock &P = X.Blocks[B], &Q = Y.Blocks[B];
+    if (P.Id != Q.Id || P.Succs != Q.Succs || P.Preds != Q.Preds)
+      return Fail(P.Id, "ids or edges differ");
+    if (P.Insns.size() != Q.Insns.size())
+      return Fail(P.Id, "instruction counts differ");
+    for (std::size_t K = 0; K < P.Insns.size(); ++K) {
+      const HInsn &I = P.Insns[K], &J = Q.Insns[K];
+      if (I.Op != J.Op || I.A != J.A || I.B != J.B || I.C != J.C ||
+          I.Imm != J.Imm || I.Idx != J.Idx || I.CC != J.CC ||
+          I.Args != J.Args || I.NumArgs != J.NumArgs || I.DexPc != J.DexPc)
+        return Fail(P.Id, "instruction " + std::to_string(K) + " differs");
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct PassPair {
+  const char *Name; ///< As in defaultPipeline().
+  std::size_t (*Flat)(HGraph &);
+  std::size_t (*Oracle)(HGraph &);
+};
+
+constexpr PassPair PassPairs[] = {
+    {"constant-folding", runConstantFolding, oracle::runConstantFolding},
+    {"local-cse", runLocalCse, oracle::runLocalCse},
+    {"copy-propagation", runCopyPropagation, oracle::runCopyPropagation},
+    {"dead-code-elim", runDeadCodeElim, oracle::runDeadCodeElim},
+};
+
+/// Runs \p P and its oracle on copies of \p G: the graphs and the returned
+/// counts must match. On success \p G holds the result and \p Count the
+/// count.
+::testing::AssertionResult diffPass(const PassPair &P, HGraph &G,
+                                    std::size_t &Count) {
+  HGraph Ref = G;
+  Count = P.Flat(G);
+  std::size_t RefCount = P.Oracle(Ref);
+  if (Count != RefCount)
+    return ::testing::AssertionFailure()
+           << P.Name << " on '" << G.Name << "' returned " << Count
+           << ", oracle " << RefCount;
+  auto Same = sameGraph(G, Ref);
+  if (!Same)
+    return Same << " after " << P.Name;
+  return ::testing::AssertionSuccess();
+}
+
+/// Per-pass totals over a corpus, so the comparison is not vacuous.
+struct DiffTotals {
+  std::size_t Methods = 0;
+  std::size_t Counts[4] = {};
+};
+
+/// Compares every pass pair on \p G twice: each pass alone on the freshly
+/// built graph, and each pass at its place in the default pipeline (both
+/// sides starting from the same partly-optimized graph).
+::testing::AssertionResult diffMethod(const HGraph &G, DiffTotals &T) {
+  ++T.Methods;
+  std::size_t Count = 0;
+  for (const PassPair &P : PassPairs) {
+    HGraph Fresh = G;
+    if (auto R = diffPass(P, Fresh, Count); !R)
+      return R << " (fresh graph)";
+  }
+  HGraph Chain = G;
+  for (const Pass &Stage : defaultPipeline()) {
+    const PassPair *P = nullptr;
+    for (std::size_t K = 0; K < std::size(PassPairs); ++K)
+      if (Stage.Name == PassPairs[K].Name)
+        P = &PassPairs[K];
+    if (!P) {
+      Stage.Run(Chain);
+      continue;
+    }
+    if (auto R = diffPass(*P, Chain, Count); !R)
+      return R << " (pipeline)";
+    T.Counts[P - PassPairs] += Count;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult diffApp(const dex::App &App, DiffTotals &T) {
+  ::testing::AssertionResult Result = ::testing::AssertionSuccess();
+  App.forEachMethod([&](const dex::Method &M) {
+    if (M.IsNative || !Result)
+      return;
+    auto G = buildHGraph(M);
+    if (!G) {
+      Result = ::testing::AssertionFailure() << G.message();
+      return;
+    }
+    Result = diffMethod(*G, T);
+  });
+  return Result;
+}
+
+void expectEveryPassFired(const DiffTotals &T) {
+  EXPECT_GT(T.Methods, 0u);
+  for (std::size_t K = 0; K < std::size(PassPairs); ++K)
+    EXPECT_GT(T.Counts[K], 0u) << PassPairs[K].Name << " never fired";
+}
+
+TEST(HirPassOracle, MatchesOnEveryPresetAtScale03) {
+  DiffTotals T;
+  for (const auto &Spec : workload::paperApps(0.3))
+    ASSERT_TRUE(diffApp(workload::makeApp(Spec), T)) << Spec.Name;
+  expectEveryPassFired(T);
+}
+
+TEST(HirPassOracle, MatchesOnRandomApps) {
+  DiffTotals T;
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed)
+    ASSERT_TRUE(diffApp(workload::makeApp(verify::randomAppSpec(Seed)), T))
+        << "seed " << Seed;
+  expectEveryPassFired(T);
+}
+
+dex::Insn makeAddImm(uint16_t A, uint16_t B, int64_t Imm) {
+  dex::Insn I;
+  I.Opcode = dex::Op::AddImm;
+  I.A = A;
+  I.B = B;
+  I.Imm = Imm;
+  return I;
+}
+
+dex::Insn makeMove(uint16_t A, uint16_t B) {
+  dex::Insn I;
+  I.Opcode = dex::Op::Move;
+  I.A = A;
+  I.B = B;
+  return I;
+}
+
+/// Builds \p M and diffs every pass pair on it.
+void diffEdgeCase(const dex::Method &M) {
+  auto G = buildHGraph(M);
+  ASSERT_TRUE(bool(G)) << G.message();
+  DiffTotals T;
+  EXPECT_TRUE(diffMethod(*G, T));
+}
+
+TEST(HirPassOracle, SixtyFourRegistersUsingV63) {
+  // v63 is the last slot of every flat array and the top bit of every mask.
+  dex::Method M;
+  M.Name = "v63";
+  M.NumRegs = 64;
+  M.NumArgs = 1;
+  M.ReturnsValue = true;
+  M.Code = {makeConst(63, 7),
+            makeBin(dex::Op::Add, 62, 0, 63),
+            makeBin(dex::Op::Add, 61, 0, 63), // CSE: move v61, v62.
+            makeMove(60, 63),                 // Dead copy of v63.
+            makeConst(59, 1),                 // Dead.
+            makeBin(dex::Op::Xor, 63, 61, 62),
+            makeRet(63)};
+  diffEdgeCase(M);
+
+  auto G = buildHGraph(M);
+  ASSERT_TRUE(bool(G));
+  EXPECT_EQ(runLocalCse(*G), 1u);
+  EXPECT_EQ(G->Blocks[0].Insns[2].Op, HOp::Move);
+  EXPECT_EQ(G->Blocks[0].Insns[2].B, 62);
+  EXPECT_EQ(runCopyPropagation(*G), 1u); // xor v63, v62, v62.
+  EXPECT_EQ(G->Blocks[0].Insns[5].B, 62);
+  // Dead: the copy into v61, the move into v60 and the const into v59.
+  EXPECT_EQ(runDeadCodeElim(*G), 3u);
+  EXPECT_EQ(G->Blocks[0].Insns.size(), 4u);
+  EXPECT_EQ(G->Blocks[0].Insns.back().A, 63);
+}
+
+TEST(HirPassOracle, CseTableBeyondItsFloorSize) {
+  // 40 distinct pure expressions in one block, then all 40 again. The
+  // expression table is sized from the largest block, here past its
+  // 16-slot floor, and each recomputation must still find its holder.
+  dex::Method M;
+  M.Name = "cse40";
+  M.NumRegs = 64;
+  M.NumArgs = 1;
+  M.ReturnsValue = true;
+  for (uint16_t K = 0; K < 40; ++K)
+    M.Code.push_back(makeAddImm(1 + K, 0, K + 1));
+  for (uint16_t K = 0; K < 40; ++K)
+    M.Code.push_back(makeAddImm(41 + K % 20, 0, K + 1));
+  M.Code.push_back(makeRet(60));
+  diffEdgeCase(M);
+
+  auto G = buildHGraph(M);
+  ASSERT_TRUE(bool(G));
+  EXPECT_EQ(runLocalCse(*G), 40u);
+  for (uint16_t K = 0; K < 40; ++K) {
+    const HInsn &I = G->Blocks[0].Insns[40 + K];
+    EXPECT_EQ(I.Op, HOp::Move);
+    EXPECT_EQ(I.B, 1 + K);
+  }
+}
+
+TEST(HirPassOracle, RecomputedKeyAfterHolderRedefinition) {
+  // v2 = v0+v1; v2 = 9 (holder clobbered); v3 = v0+v1 is not a reuse and
+  // becomes the latest holder; v3 = v0+v1 again keeps its own register
+  // (holder == destination); v4 = v0+v1 then reuses v3.
+  dex::Method M;
+  M.Name = "csestale";
+  M.NumRegs = 8;
+  M.NumArgs = 2;
+  M.ReturnsValue = true;
+  M.Code = {makeBin(dex::Op::Add, 2, 0, 1), makeConst(2, 9),
+            makeBin(dex::Op::Add, 3, 0, 1), makeBin(dex::Op::Add, 3, 0, 1),
+            makeBin(dex::Op::Add, 4, 0, 1), makeBin(dex::Op::Xor, 5, 2, 4),
+            makeBin(dex::Op::Xor, 5, 5, 3), makeRet(5)};
+  diffEdgeCase(M);
+
+  auto G = buildHGraph(M);
+  ASSERT_TRUE(bool(G));
+  EXPECT_EQ(runLocalCse(*G), 1u);
+  const auto &Insns = G->Blocks[0].Insns;
+  EXPECT_EQ(Insns[2].Op, HOp::Add);
+  EXPECT_EQ(Insns[3].Op, HOp::Add);
+  EXPECT_EQ(Insns[4].Op, HOp::Move);
+  EXPECT_EQ(Insns[4].B, 3);
 }
 
 TEST(Pipeline, RunsAllPassesAndVerifies) {
