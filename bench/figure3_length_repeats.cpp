@@ -9,7 +9,8 @@
 /// WeChat-class app. The paper's observation (Obs. 2): most repetitive
 /// sequences are short, and the shorter the sequence, the higher the
 /// repeat frequency. Printed as a series (length, total repeats) plus an
-/// ASCII log-scale bar chart.
+/// ASCII log-scale bar chart. Exits 1 when the shape check fails, including
+/// when the corpus yields no short repeats at all.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,9 +52,13 @@ int main(int argc, char **argv) {
     std::printf("%8u %10llu  %s\n", Len, (unsigned long long)Repeats,
                 std::string(static_cast<std::size_t>(Bar), '#').c_str());
   }
+  // A corpus with no short repeats proves nothing: it fails, and says why.
+  const bool HasRepeats = ShortMass > 0;
+  const bool Pass = HasRepeats && ShortMass > 4 * LongMass;
   std::printf("\nshape check (short sequences dominate, Obs. 2):\n"
-              "  repeats at length<=5: %llu, at length>=10: %llu -> %s\n",
+              "  repeats at length<=5: %llu, at length>=10: %llu -> %s%s\n",
               (unsigned long long)ShortMass, (unsigned long long)LongMass,
-              ShortMass > 4 * LongMass ? "PASS" : "WARN");
-  return 0;
+              Pass ? "PASS" : "FAIL",
+              HasRepeats ? "" : " (no short repeats in the corpus)");
+  return Pass ? 0 : 1;
 }

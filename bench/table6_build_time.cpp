@@ -14,19 +14,17 @@
 /// thread, one global tree), PlOpti by 70.8% (8 trees). Also includes the
 /// K-sweep ablation (the trade-off knob §4.4 mentions) with the per-phase
 /// breakdown of the parallel link pipeline, the LTBO link-stage wall clock
-/// at 1 and 8 threads, and the suffix-array construction comparison
-/// (comparison-sorted prefix doubling vs. radix-sorted doubling vs.
-/// linear-time SA-IS, including a scale-8 input where the asymptotic gap
-/// actually shows). Everything is
-/// also emitted as machine-readable JSON (BENCH_build_time.json in the
-/// working directory).
+/// at 1 and 8 threads, and the suffix-array construction comparison (the
+/// seed's comparison-sorted prefix doubling vs. the production radix
+/// doubling, including a scale-8 tandem input where the asymptotic gap
+/// actually shows). Everything is also emitted as machine-readable JSON
+/// (BENCH_build_time.json in the working directory).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 #include "oat/Serialize.h"
 #include "suffixtree/SuffixArray.h"
-#include "support/Arena.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -71,8 +69,8 @@ double timedLtboStage(const dex::App &App, const core::CalibroOptions &Opts) {
 
 /// The seed implementation's suffix-array construction: prefix doubling
 /// with a comparison sort over (rank, rank+K) pairs per round — O(n log^2 n)
-/// with 64-bit keys. Kept here (only here) as the bench baseline the radix
-/// construction is measured against.
+/// with 64-bit keys. Kept here (only here) as the bench baseline the
+/// production st::SuffixArray is measured against.
 std::vector<uint32_t> legacySortDoublingSa(std::vector<uint64_t> T) {
   T.push_back(~uint64_t(0)); // The seed's reserved sentinel symbol.
   const uint32_t N = static_cast<uint32_t>(T.size());
@@ -250,88 +248,73 @@ int main(int argc, char **argv) {
   }
 
   // Suffix-array construction alone: the seed's comparison-sorted prefix
-  // doubling vs. the radix-sorted doubling vs. linear-time SA-IS (the
-  // shipping construction), on the app's linked .text as the symbol
-  // sequence. SA-IS is timed as the detect phase runs it: full constructor
-  // (array + LCP + interval sweep) with a warm reusable arena — the
-  // doubling baselines are array-only, so its numbers are conservative.
+  // doubling vs. the production st::SuffixArray (radix prefix doubling),
+  // on the app's linked .text as the symbol sequence. The production side
+  // is timed as the detect phase runs it: full constructor (array + LCP +
+  // interval sweep) — the seed baseline is array-only, so the speedups are
+  // conservative.
+  auto TimeConstructions = [](const std::vector<uint64_t> &Text,
+                              double &LegacyOut, double &ProductionOut) {
+    std::vector<double> LegacyTimes, ProductionTimes;
+    for (int Rep = 0; Rep < 5; ++Rep) {
+      Timer TL;
+      auto Sa = legacySortDoublingSa(Text);
+      LegacyTimes.push_back(TL.seconds());
+      if (Sa.empty())
+        std::printf("unreachable\n");
+      Timer TP;
+      st::SuffixArray A{std::vector<uint64_t>(Text)};
+      ProductionTimes.push_back(TP.seconds());
+      if (A.textSize() != Text.size())
+        std::printf("unreachable\n");
+    }
+    LegacyOut = medianOf(LegacyTimes);
+    ProductionOut = medianOf(ProductionTimes);
+  };
   std::vector<uint64_t> SaText;
   {
     auto Full = build(App, ctoOpts());
     SaText.assign(Full.Oat.Text.begin(), Full.Oat.Text.end());
   }
-  support::Arena SaArena;
-  auto TimeConstructions = [&SaArena](const std::vector<uint64_t> &Text,
-                                      double &LegacyOut, double &RadixOut,
-                                      double &SaIsOut, bool WithLegacy) {
-    std::vector<double> LegacyTimes, RadixTimes, SaIsTimes;
-    for (int Rep = 0; Rep < 5; ++Rep) {
-      if (WithLegacy) {
-        Timer TL;
-        auto Sa = legacySortDoublingSa(Text);
-        LegacyTimes.push_back(TL.seconds());
-        if (Sa.empty())
-          std::printf("unreachable\n");
-      }
-      Timer TR;
-      auto Radix = st::prefixDoublingSuffixArray(Text);
-      RadixTimes.push_back(TR.seconds());
-      if (Radix.empty())
-        std::printf("unreachable\n");
-      SaArena.reset();
-      Timer TS;
-      st::SuffixArray A{std::vector<uint64_t>(Text), &SaArena};
-      SaIsTimes.push_back(TS.seconds());
-      if (A.textSize() != Text.size())
-        std::printf("unreachable\n");
-    }
-    LegacyOut = WithLegacy ? medianOf(LegacyTimes) : 0;
-    RadixOut = medianOf(RadixTimes);
-    SaIsOut = medianOf(SaIsTimes);
-  };
-  double LegacySec = 0, RadixSec = 0, SaIsSec = 0;
-  TimeConstructions(SaText, LegacySec, RadixSec, SaIsSec, true);
+  double LegacySec = 0, SaSec = 0;
+  TimeConstructions(SaText, LegacySec, SaSec);
+  double SaSpeedup = SaSec > 0 ? LegacySec / SaSec : 0;
   std::printf("\nSA construction on %zu symbols:\n"
-              "  sort-doubling (seed)    %12s\n"
-              "  radix-doubling          %12s\n"
-              "  SA-IS (+LCP intervals)  %12s\n"
-              "  radix vs sort: %.2fx   SA-IS vs radix: %.2fx\n",
-              SaText.size(), fmtSec(LegacySec).c_str(),
-              fmtSec(RadixSec).c_str(), fmtSec(SaIsSec).c_str(),
-              LegacySec / RadixSec, RadixSec / SaIsSec);
+              "  sort-doubling (seed)            %12s\n"
+              "  SuffixArray (+LCP intervals)    %12s\n"
+              "  SuffixArray vs sort: %.2fx\n",
+              SaText.size(), fmtSec(LegacySec).c_str(), fmtSec(SaSec).c_str(),
+              SaSpeedup);
 
   // Doubling's round count is log2 of the longest repeat, so on typical
-  // app text (shallow repeats) it exits early and runs neck and neck with
-  // SA-IS. What SA-IS buys is the *bound*: detect cost stays linear no
-  // matter how repetitive the input — and repeat-heavy input is precisely
-  // the detector's target. The acceptance gate therefore measures a
-  // scale >= 8 corpus in both shapes: the plain text (recorded, no gate)
-  // and its tandem duplication (longest repeat = n/2, doubling's worst
-  // case), where SA-IS must win by >= 2x.
-  double SaIsScale = std::max(Scale, 8.0);
+  // app text (shallow repeats) both constructions exit early. The gate
+  // therefore measures a scale >= 8 corpus in both shapes: the plain text
+  // (recorded, no gate) and its tandem duplication (longest repeat = n/2,
+  // the most doubling rounds), where radix doubling's O(n) rounds must
+  // beat the seed's O(n log n) sorted rounds by >= 2x.
+  double Scale8 = std::max(Scale, 8.0);
   std::vector<uint64_t> SaText8;
   {
-    dex::App App8 = workload::makeApp(workload::paperApps(SaIsScale)[5]);
+    dex::App App8 = workload::makeApp(workload::paperApps(Scale8)[5]);
     auto Full8 = build(App8, ctoOpts());
     SaText8.assign(Full8.Oat.Text.begin(), Full8.Oat.Text.end());
   }
-  double Unused = 0, Radix8Sec = 0, SaIs8Sec = 0;
-  TimeConstructions(SaText8, Unused, Radix8Sec, SaIs8Sec, false);
+  double Legacy8Sec = 0, Sa8Sec = 0;
+  TimeConstructions(SaText8, Legacy8Sec, Sa8Sec);
   std::vector<uint64_t> Tandem = SaText8;
   Tandem.insert(Tandem.end(), SaText8.begin(), SaText8.end());
-  double RadixWorst = 0, SaIsWorst = 0;
-  TimeConstructions(Tandem, Unused, RadixWorst, SaIsWorst, false);
-  double SaIsSpeedup8 = SaIs8Sec > 0 ? Radix8Sec / SaIs8Sec : 0;
-  double WorstSpeedup = SaIsWorst > 0 ? RadixWorst / SaIsWorst : 0;
-  std::printf("  scale %.0f (%zu symbols): radix %s, SA-IS %s (%.2fx)\n"
-              "  scale %.0f tandem x2 (%zu symbols): radix %s, SA-IS %s\n"
-              "  SA-IS speedup on repeat-heavy input at scale >= 8: %.2fx : "
-              "%s\n",
-              SaIsScale, SaText8.size(), fmtSec(Radix8Sec).c_str(),
-              fmtSec(SaIs8Sec).c_str(), SaIsSpeedup8, SaIsScale,
-              Tandem.size(), fmtSec(RadixWorst).c_str(),
-              fmtSec(SaIsWorst).c_str(), WorstSpeedup,
-              WorstSpeedup >= 2.0 ? "PASS" : "FAIL");
+  double LegacyWorst = 0, SaWorst = 0;
+  TimeConstructions(Tandem, LegacyWorst, SaWorst);
+  double Speedup8 = Sa8Sec > 0 ? Legacy8Sec / Sa8Sec : 0;
+  double WorstSpeedup = SaWorst > 0 ? LegacyWorst / SaWorst : 0;
+  std::printf("  scale %.0f (%zu symbols): sort %s, SuffixArray %s (%.2fx)\n"
+              "  scale %.0f tandem x2 (%zu symbols): sort %s, SuffixArray %s\n"
+              "  SuffixArray speedup over sort-doubling on repeat-heavy input "
+              "at scale >= 8: %.2fx : %s\n",
+              Scale8, SaText8.size(), fmtSec(Legacy8Sec).c_str(),
+              fmtSec(Sa8Sec).c_str(), Speedup8, Scale8, Tandem.size(),
+              fmtSec(LegacyWorst).c_str(), fmtSec(SaWorst).c_str(),
+              WorstSpeedup, WorstSpeedup >= 2.0 ? "PASS" : "FAIL");
 
   // Incremental builds (ISSUE 5): cold vs warm under simulated churn. Each
   // warm measurement resets the store, populates it with one cold build of
@@ -455,18 +438,18 @@ int main(int argc, char **argv) {
   std::fprintf(J,
                "\n  ],\n"
                "  \"sa_construction\": {\"symbols\": %zu, "
-               "\"sort_doubling_s\": %.4f, \"radix_doubling_s\": %.4f, "
-               "\"sais_s\": %.4f, \"sais_speedup\": %.3f,\n"
-               "    \"scale8_symbols\": %zu, \"scale8_radix_s\": %.4f, "
-               "\"scale8_sais_s\": %.4f, \"scale8_speedup\": %.3f,\n"
+               "\"sort_doubling_s\": %.4f, \"suffix_array_s\": %.4f, "
+               "\"speedup\": %.3f,\n"
+               "    \"scale8_symbols\": %zu, "
+               "\"scale8_sort_doubling_s\": %.4f, "
+               "\"scale8_suffix_array_s\": %.4f, \"scale8_speedup\": %.3f,\n"
                "    \"scale8_worstcase_symbols\": %zu, "
-               "\"scale8_worstcase_radix_s\": %.4f, "
-               "\"scale8_worstcase_sais_s\": %.4f, "
+               "\"scale8_worstcase_sort_doubling_s\": %.4f, "
+               "\"scale8_worstcase_suffix_array_s\": %.4f, "
                "\"scale8_worstcase_speedup\": %.3f},\n",
-               SaText.size(), LegacySec, RadixSec, SaIsSec,
-               RadixSec / SaIsSec, SaText8.size(), Radix8Sec, SaIs8Sec,
-               SaIsSpeedup8, Tandem.size(), RadixWorst, SaIsWorst,
-               WorstSpeedup);
+               SaText.size(), LegacySec, SaSec, SaSpeedup, SaText8.size(),
+               Legacy8Sec, Sa8Sec, Speedup8, Tandem.size(), LegacyWorst,
+               SaWorst, WorstSpeedup);
   std::fprintf(J,
                "  \"cold_vs_warm\": {\n    \"app\": \"%s\", "
                "\"cold_s\": %.4f, \"no_cache_s\": %.4f, "

@@ -10,7 +10,6 @@
 #include "aarch64/PcRel.h"
 #include "core/Selection.h"
 #include "suffixtree/SuffixArray.h"
-#include "support/Arena.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
@@ -141,10 +140,10 @@ struct MethodPrep {
 };
 
 /// Estimated peak detect-phase bytes per sequence word: 8 B text + 8 B
-/// SeqPos provenance, plus the SA-IS arrays and interval table at their
-/// construction peak. Calibrated against table5_memory's DetectPeakBytes on
-/// the paper-app corpus; deliberately a little high so a window's real peak
-/// lands under, not over, its estimate. The window planner and the
+/// SeqPos provenance, plus the suffix-array construction arrays and
+/// interval table at their construction peak. Calibrated against
+/// table5_memory's DetectPeakBytes on the paper-app corpus; deliberately a
+/// little high so a window's real peak lands under, not over, its estimate. The window planner and the
 /// auto-partition chooser size groups with it.
 constexpr std::size_t DetectBytesPerWord = 64;
 
@@ -153,18 +152,12 @@ constexpr std::size_t DetectBytesPerWord = 64;
 /// before sequence assembly, which counts as construction time.
 cache::GroupSelections detectGroup(Sequence &Seq, const OutlinerOptions &Opts,
                                    OutlineStats &Stats,
-                                   support::Arena *Scratch,
                                    const Timer &BuildTimer) {
   // The text moves into the array (no second copy) and is freed by
-  // releaseWorkingSet() below; the construction scratch comes from the
-  // caller's arena (dead once the constructor returns).
-  st::SuffixArray Sa(std::move(Seq.Text), Scratch);
+  // releaseWorkingSet() below.
+  st::SuffixArray Sa(std::move(Seq.Text));
   Stats.TreeNodes += Sa.numNodes();
   Stats.BuildTreeSeconds += BuildTimer.seconds();
-  if (Sa.constructionBackend() == st::SaBackend::SaIs)
-    ++Stats.GroupsSaIs;
-  else
-    ++Stats.GroupsPrefixDoubling;
 
   Timer RankTimer;
   std::vector<Candidate> Ranked =
@@ -353,13 +346,6 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
   std::vector<std::vector<OutlinedFunc>> GroupFuncs(K);
   std::vector<std::vector<RewriteWork>> GroupWork(K);
 
-  // Construction-scratch arenas for the suffix arrays, shared across
-  // groups through a pool: a worker that finishes one group hands its
-  // (already-grown, coalesced) arena to the next, so steady-state
-  // detection allocates nothing. The arena only shapes WHERE scratch
-  // lives, never what is computed — output stays byte-identical.
-  support::ArenaPool DetectArenas;
-
   // One group, cold or warm: assemble its sequence (paper §3.3.2), then
   // either replay a cached selection that passes validation (all or
   // nothing, so a stale or corrupt entry can cost time but never change
@@ -382,9 +368,7 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
       ++St.GroupsReused;
     } else {
       ++St.GroupsDetected;
-      support::ArenaPool::Handle Scratch = DetectArenas.acquire();
-      Detected = detectGroup(Seq, Opts, St, Scratch.get(), BuildTimer);
-      St.DetectScratchBytes = Scratch->bytesReserved();
+      Detected = detectGroup(Seq, Opts, St, BuildTimer);
       // Store even an empty selection: "this group outlines nothing" is as
       // reusable as any other result.
       if (Opts.Cache)
@@ -460,15 +444,12 @@ Expected<OutlineResult> core::runLtbo(std::vector<CompiledMethod> &Methods,
     Result.Stats.SelectSeconds += S.SelectSeconds;
     Result.Stats.GroupsReused += S.GroupsReused;
     Result.Stats.GroupsDetected += S.GroupsDetected;
-    Result.Stats.GroupsSaIs += S.GroupsSaIs;
-    Result.Stats.GroupsPrefixDoubling += S.GroupsPrefixDoubling;
     Result.Stats.DetectPeakBytes =
         std::max(Result.Stats.DetectPeakBytes, S.DetectPeakBytes);
-    Result.Stats.DetectScratchBytes =
-        std::max(Result.Stats.DetectScratchBytes, S.DetectScratchBytes);
     for (auto &F : GroupFuncs[G])
       Result.Funcs.push_back(std::move(F));
   }
+  Result.Stats.GroupsPrefixDoubling = Result.Stats.GroupsDetected;
   std::sort(Result.Funcs.begin(), Result.Funcs.end(),
             [](const OutlinedFunc &A, const OutlinedFunc &B) {
               return A.Id < B.Id;

@@ -172,21 +172,16 @@ struct OutlineStats {
   std::size_t GroupsReused = 0;
   /// Non-empty partition groups that ran detection (cold or fallback).
   std::size_t GroupsDetected = 0;
-  /// Detected groups split by the suffix-array construction backend the
-  /// hybrid auto-pick chose (see st::SaBackend). Deterministic: the pick
-  /// is a pure function of the group's assembled symbol sequence.
+  /// Always zero (radix prefix doubling is the only suffix-array
+  /// construction); kept only because perfbench/ reads it.
   std::size_t GroupsSaIs = 0;
+  /// Detected groups whose suffix array prefix doubling built: always
+  /// equal to GroupsDetected.
   std::size_t GroupsPrefixDoubling = 0;
   /// Largest single-group detect-phase working set in bytes: suffix
   /// array plus the assembled sequence/provenance arrays, sampled at
   /// its peak (before scratch release). Deterministic for any Threads.
   std::size_t DetectPeakBytes = 0;
-  /// Largest construction-scratch arena footprint (bytesReserved) seen in
-  /// Phase B. Arenas are pooled per worker and coalesced on reset, so this
-  /// tracks the high-water mark of ONE reusable block, not a per-group sum.
-  /// Scheduling metadata like the *Threads fields: the pool hand-out order
-  /// depends on worker interleaving, so determinism tests must ignore it.
-  std::size_t DetectScratchBytes = 0;
   /// Partition-group count actually used: Opts.Partitions, or the
   /// budget-derived K when Partitions == 0. Deterministic.
   std::size_t PartitionsUsed = 0;

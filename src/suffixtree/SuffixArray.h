@@ -20,26 +20,23 @@
 /// and occurrence set against a naive finder) at a fraction of the tree's
 /// working set.
 ///
-/// Construction is O(n): the sparse 64-bit alphabet is first compacted to
-/// dense uint32 ranks (LSD radix sort of the symbols), then SA-IS (suffix
-/// array by induced sorting, Nong/Zhang/Chan) builds the array in linear
-/// time. The sentinel is a *virtual* position with a by-construction unique
-/// smallest rank — no symbol value is reserved, so any uint64 sequence is
-/// legal input.
+/// Construction is radix prefix doubling, O(n log n) worst case with an
+/// early exit once every rank is unique: the sparse 64-bit alphabet is
+/// first compacted to dense uint32 ranks (LSD radix sort of the symbols),
+/// then counting-sort doubling rounds order the suffixes. The sentinel is
+/// a *virtual* position with a by-construction unique smallest rank — no
+/// symbol value is reserved, so any uint64 sequence is legal input. All
+/// construction scratch (ranks, doubling arrays, Kasai's LCP and inverse
+/// arrays) lives in local vectors that die with the constructor.
 ///
 /// The suffix array of a text whose (virtual) sentinel is strictly smaller
-/// than every other symbol is unique, so the SA-IS result is bit-identical
-/// to what prefix doubling produces — detection output cannot shift with
-/// the construction algorithm. prefixDoublingSuffixArray() keeps the
-/// O(n log n) construction alive as the differential oracle the tests and
-/// the build-time bench compare against.
+/// than every other symbol is unique, so the tests check the construction
+/// against a naive sort of all suffixes.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CALIBRO_SUFFIXTREE_SUFFIXARRAY_H
 #define CALIBRO_SUFFIXTREE_SUFFIXARRAY_H
-
-#include "support/Arena.h"
 
 #include <cstdint>
 #include <functional>
@@ -64,39 +61,13 @@ struct RepeatInfo {
   uint32_t Count;  ///< Number of (possibly overlapping) occurrences.
 };
 
-/// Which algorithm constructed the raw suffix array. The suffix array of a
-/// text with a unique smallest (virtual) sentinel is unique, so the choice
-/// can never change the output — only the construction wall clock.
-enum class SaBackend : uint8_t {
-  SaIs,           ///< O(n) induced sorting; wins on large repeat-heavy text.
-  PrefixDoubling, ///< O(n log n) radix doubling; wins on small/plain text.
-};
-
-/// Returns the identifier-style name of \p B.
-const char *saBackendName(SaBackend B);
-
 /// Suffix array + LCP over one symbol sequence.
-///
-/// Construction auto-picks its backend per text (hybrid): SA-IS's linear
-/// time only pays off once the doubling round count grows, which needs
-/// both scale and repeat density — BENCH_build_time measured SA-IS at
-/// 0.617x doubling's speed on the small scale-2 corpus. The pick is a
-/// pure function of the text (symbol count + a strided bigram
-/// repeat-density probe), so it is deterministic, and the resulting array
-/// is bit-identical either way.
 class SuffixArray {
 public:
-  /// Builds the array in O(n): alphabet rank-compaction followed by SA-IS
-  /// induced sorting, then Kasai's LCP and the LCP-interval sweep. Accepts
-  /// any symbol values — the sentinel is virtual, nothing is reserved.
-  ///
-  /// \p Scratch optionally supplies the construction workspace (rank
-  /// arrays, SA-IS type/bucket/recursion arrays, LCP scratch). Everything
-  /// allocated from it is dead once the constructor returns — the caller
-  /// may reset() the arena immediately afterwards. Null uses a private
-  /// arena that is freed with the constructor frame.
-  explicit SuffixArray(std::vector<Symbol> Text,
-                       support::Arena *Scratch = nullptr);
+  /// Builds the array: alphabet rank-compaction, radix prefix doubling,
+  /// then Kasai's LCP and the LCP-interval sweep. Accepts any symbol
+  /// values — the sentinel is virtual, nothing is reserved.
+  explicit SuffixArray(std::vector<Symbol> Text);
 
   /// Length of the original sequence. Valid even after
   /// releaseWorkingSet().
@@ -121,12 +92,9 @@ public:
   void forEachRepeat(uint32_t MinLen, uint32_t MaxLen, uint32_t MinCount,
                      const std::function<void(const RepeatInfo &)> &Fn) const;
 
-  /// Start positions of the repeat named by \p Interval, ascending.
-  std::vector<uint32_t> positionsOf(int32_t Interval) const;
-
-  /// Buffer-reusing variant: fills \p Out (cleared first) with the same
-  /// ascending positions. Hot-path friendly — no allocation once \p Out has
-  /// grown to the largest occurrence count.
+  /// Fills \p Out (cleared first) with the start positions of the repeat
+  /// named by \p Interval, ascending. No allocation once \p Out has grown
+  /// to the largest occurrence count.
   void positionsOf(int32_t Interval, std::vector<uint32_t> &Out) const;
 
   /// Earliest start position of the repeat named by \p Interval. O(count)
@@ -134,20 +102,17 @@ public:
   /// only this one value per candidate.
   uint32_t firstPositionOf(int32_t Interval) const;
 
-  /// The construction algorithm the hybrid auto-pick chose for this text.
-  SaBackend constructionBackend() const { return Backend; }
-
   /// The raw suffix array, including the virtual-sentinel row: textSize()+1
   /// entries, the first of which is always textSize() (the sentinel suffix
-  /// sorts strictly smallest). Exposed for the construction differential
-  /// tests and benches.
+  /// sorts strictly smallest). Exposed for the construction tests and
+  /// benches.
   std::span<const uint32_t> suffixArray() const {
     return std::span<const uint32_t>(Sa.data(), Sa.size());
   }
 
   /// Bytes held by the detection-relevant arrays right now (text, suffix
-  /// array, interval table; all construction scratch lives in the arena
-  /// and is already dead). Shrinks after releaseWorkingSet(): the text
+  /// array, interval table; all construction scratch died with the
+  /// constructor). Shrinks after releaseWorkingSet(): the text
   /// contribution returns to zero.
   std::size_t workingSetBytes() const;
 
@@ -166,19 +131,9 @@ private:
 
   std::vector<Symbol> Symbols; ///< The sequence, until releaseWorkingSet().
   std::size_t TextLen = 0;
-  SaBackend Backend = SaBackend::SaIs;
   std::vector<uint32_t> Sa;
   std::vector<Interval> Intervals;
 };
-
-/// Reference O(n log n) construction: the radix-sorted prefix doubling that
-/// SA-IS replaced. Returns the full suffix array over \p Text plus the
-/// virtual sentinel (size Text.size() + 1, row 0 is the sentinel suffix) —
-/// directly comparable with SuffixArray::suffixArray(). Kept as the
-/// differential oracle for the SA-IS fuzz tests and as the baseline the
-/// build-time bench measures the linear construction against; not used on
-/// any production path.
-std::vector<uint32_t> prefixDoublingSuffixArray(const std::vector<Symbol> &Text);
 
 } // namespace st
 } // namespace calibro

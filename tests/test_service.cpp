@@ -19,6 +19,7 @@
 
 #include "oat/Serialize.h"
 #include "service/CompileService.h"
+#include "service/JobLine.h"
 #include "workload/Workload.h"
 
 #include <gtest/gtest.h>
@@ -472,4 +473,46 @@ TEST(MemoryArbiter, BlocksUntilBytesReturn) {
   Second.join();
   EXPECT_TRUE(SecondGranted.load());
   EXPECT_LE(A.peakOutstandingBytes(), 500u);
+}
+
+//===----------------------------------------------------------------------===//
+// calibro-compiled job-line parsing
+//===----------------------------------------------------------------------===//
+
+TEST(JobLineParse, AcceptsEveryKeyInAnyOrder) {
+  JobLine J;
+  ASSERT_TRUE(parseJobLine("out=w.oat budget=4096 seed=7 scale=0.25 app=Wechat",
+                           J));
+  EXPECT_EQ(J.AppName, "Wechat");
+  EXPECT_EQ(J.Out, "w.oat");
+  EXPECT_DOUBLE_EQ(J.Scale, 0.25);
+  EXPECT_EQ(J.Seed, 7u);
+  EXPECT_EQ(J.BudgetBytes, 4096u);
+
+  JobLine D; // Optional keys keep their defaults.
+  ASSERT_TRUE(parseJobLine("app=Fanqie out=f.oat", D));
+  EXPECT_DOUBLE_EQ(D.Scale, 0.5);
+  EXPECT_EQ(D.Seed, 0u);
+  EXPECT_EQ(D.BudgetBytes, 0u);
+}
+
+TEST(JobLineParse, RejectsEachMalformedLine) {
+  const char *Bad[] = {
+      "app=Wechat out=w.oat scale",        // Token without '='.
+      "app=Wechat out=w.oat threads=4",    // Unknown key.
+      "app=Wechat out=w.oat scale=0",      // scale must be > 0.
+      "app=Wechat out=w.oat scale=-1",     // ...and positive.
+      "app=Wechat out=w.oat scale=abc",    // ...and a number.
+      "app=Wechat out=w.oat seed=-3",      // seed is an unsigned integer.
+      "app=Wechat out=w.oat seed=1x",      // ...with no trailing junk.
+      "app=Wechat out=w.oat budget=1.5",   // budget is an integer.
+      "app=Wechat out=w.oat budget=",      // ...and not empty.
+      "scale=0.3 out=w.oat",               // Missing app.
+      "app=Wechat scale=0.3",              // Missing out.
+      "",                                  // Neither.
+  };
+  for (const char *Line : Bad) {
+    JobLine J;
+    EXPECT_FALSE(parseJobLine(Line, J)) << "accepted: '" << Line << "'";
+  }
 }

@@ -18,6 +18,13 @@ using namespace calibro::st;
 
 namespace {
 
+/// Ascending start positions of the repeat named by \p Node.
+std::vector<uint32_t> positionsOf(const SuffixArray &A, int32_t Node) {
+  std::vector<uint32_t> Pos;
+  A.positionsOf(Node, Pos);
+  return Pos;
+}
+
 std::vector<Symbol> fromString(const char *S) {
   std::vector<Symbol> V;
   for (const char *P = S; *P; ++P)
@@ -91,7 +98,7 @@ TEST_P(SuffixArrayRandom, MatchesNaiveFinder) {
     std::map<std::vector<Symbol>, std::vector<uint32_t>> FromArray;
     A.forEachRepeat(1, static_cast<uint32_t>(N), 2,
                     [&](const RepeatInfo &Rep) {
-                      auto Pos = A.positionsOf(Rep.Node);
+                      auto Pos = positionsOf(A, Rep.Node);
                       std::vector<Symbol> Key(T.begin() + Pos[0],
                                               T.begin() + Pos[0] + Rep.Length);
                       FromArray[Key] = Pos;
@@ -146,7 +153,7 @@ TEST(SuffixArray, PositionsSorted) {
   std::vector<Symbol> T = fromString("xyxyxyxyxy");
   SuffixArray A(std::move(T));
   A.forEachRepeat(1, 10, 2, [&](const RepeatInfo &R) {
-    auto Pos = A.positionsOf(R.Node);
+    auto Pos = positionsOf(A, R.Node);
     EXPECT_TRUE(std::is_sorted(Pos.begin(), Pos.end()));
     EXPECT_EQ(Pos.size(), R.Count);
   });
@@ -167,7 +174,7 @@ void checkClampedDedup(const std::vector<Symbol> &T, uint32_t MaxLen) {
   std::map<std::vector<Symbol>, std::vector<uint32_t>> Reported;
   D.forEachRepeat(1, MaxLen, 2, [&](const RepeatInfo &R) {
     ASSERT_LE(R.Length, MaxLen);
-    auto Pos = D.positionsOf(R.Node);
+    auto Pos = positionsOf(D, R.Node);
     std::vector<Symbol> Key(T.begin() + Pos[0], T.begin() + Pos[0] + R.Length);
     auto [It, Inserted] = Reported.emplace(Key, Pos);
     EXPECT_TRUE(Inserted) << "content reported twice (len " << R.Length << ")";
@@ -212,39 +219,53 @@ TEST(ClampedDedup, RandomTextsMatchNaive) {
 }
 
 //===----------------------------------------------------------------------===//
-// SA-IS vs prefix doubling: construction differential
+// Construction vs a naive oracle
 //===----------------------------------------------------------------------===//
 
+/// Naive reference suffix array: every suffix index 0..n (n is the virtual
+/// sentinel, the empty suffix) sorted lexicographically, with the end of
+/// the text smaller than any symbol — std::lexicographical_compare orders a
+/// proper prefix first, which is exactly that rule.
+std::vector<uint32_t> naiveSuffixArray(const std::vector<Symbol> &T) {
+  std::vector<uint32_t> Sa(T.size() + 1);
+  for (uint32_t I = 0; I < Sa.size(); ++I)
+    Sa[I] = I;
+  std::sort(Sa.begin(), Sa.end(), [&](uint32_t A, uint32_t B) {
+    return std::lexicographical_compare(T.begin() + A, T.end(),
+                                        T.begin() + B, T.end());
+  });
+  return Sa;
+}
+
 // The SA of a text with a unique smallest (virtual) sentinel is unique, so
-// SA-IS and the retained prefix-doubling oracle must agree ELEMENT FOR
-// ELEMENT — not merely produce equivalent repeat sets.
-void checkSaIsMatchesDoubling(const std::vector<Symbol> &T) {
+// the construction must match the naive sort ELEMENT FOR ELEMENT — not
+// merely produce equivalent repeat sets.
+void checkMatchesNaive(const std::vector<Symbol> &T) {
   SuffixArray A{std::vector<Symbol>(T)};
-  std::vector<uint32_t> Oracle = prefixDoublingSuffixArray(T);
+  std::vector<uint32_t> Oracle = naiveSuffixArray(T);
   auto Got = A.suffixArray();
   ASSERT_EQ(Got.size(), Oracle.size()) << "n=" << T.size();
-  ASSERT_EQ(Got.size(), T.size() + 1);
   EXPECT_EQ(Got.front(), static_cast<uint32_t>(T.size()))
       << "sentinel suffix must sort first";
   for (std::size_t I = 0; I < Oracle.size(); ++I)
     ASSERT_EQ(Got[I], Oracle[I]) << "row " << I << " (n=" << T.size() << ")";
 }
 
-TEST(SaIsDifferential, EdgeShapes) {
-  checkSaIsMatchesDoubling({});                  // Empty text.
-  checkSaIsMatchesDoubling({42});                // Single symbol.
-  checkSaIsMatchesDoubling(fromString("aaaaaaaaaaaaaaaa")); // All equal.
-  checkSaIsMatchesDoubling(fromString("ab"));
-  checkSaIsMatchesDoubling(fromString("ba"));
-  checkSaIsMatchesDoubling(fromString("banana"));
-  checkSaIsMatchesDoubling(fromString("mississippi"));
+TEST(SuffixArrayOracle, EdgeShapes) {
+  checkMatchesNaive({});                  // Empty text.
+  checkMatchesNaive({42});                // Single symbol.
+  checkMatchesNaive(fromString("aaaaaaaaaaaaaaaa")); // All equal.
+  checkMatchesNaive(fromString("ab"));
+  checkMatchesNaive(fromString("ba"));
+  checkMatchesNaive(fromString("banana"));
+  checkMatchesNaive(fromString("mississippi"));
   // Sparse 64-bit symbols, including values around the separator range and
-  // the old reserved sentinel — all legal under the virtual sentinel.
-  checkSaIsMatchesDoubling({SeparatorBase, 0, SeparatorBase + 1, 0,
-                            ~uint64_t(0), 0, ~uint64_t(0)});
+  // the all-ones value — all legal under the virtual sentinel.
+  checkMatchesNaive({SeparatorBase, 0, SeparatorBase + 1, 0, ~uint64_t(0), 0,
+                     ~uint64_t(0)});
 }
 
-TEST(SaIsDifferential, RandomTexts) {
+TEST(SuffixArrayOracle, RandomTexts) {
   Rng R(0x5a15);
   for (int Case = 0; Case < 60; ++Case) {
     std::size_t N = 1 + R.nextBelow(300);
@@ -253,70 +274,14 @@ TEST(SaIsDifferential, RandomTexts) {
     T.reserve(N);
     for (std::size_t I = 0; I < N; ++I)
       T.push_back('a' + R.nextBelow(Alphabet));
-    checkSaIsMatchesDoubling(T);
+    checkMatchesNaive(T);
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Hybrid construction-backend auto-pick
-//===----------------------------------------------------------------------===//
-
-// The pick must be a deterministic function of the text, exercise BOTH
-// backends across the expected regimes, and never change the output: the
-// SA with a unique smallest sentinel is unique, so whichever backend runs
-// must match the prefix-doubling oracle element for element.
-TEST(SaBackendPick, SmallTextUsesPrefixDoubling) {
-  // Below the symbol-count threshold SA-IS's setup cost dominates
-  // (BENCH_build_time: sais_speedup 0.617 at scale 2) — even on maximally
-  // repeat-heavy text the pick must stay with doubling.
-  std::vector<Symbol> T(4096, 'a');
-  SuffixArray A{std::vector<Symbol>(T)};
-  EXPECT_EQ(A.constructionBackend(), SaBackend::PrefixDoubling);
-  checkSaIsMatchesDoubling(T);
-}
-
-TEST(SaBackendPick, LargeRepeatHeavyTextUsesSaIs) {
-  // Large text over a tiny alphabet: nearly every sampled bigram repeats,
-  // so doubling would run deep rank-resolution rounds — SA-IS territory.
-  Rng R(0xbac0);
-  std::vector<Symbol> T;
-  T.reserve(1 << 16);
-  for (std::size_t I = 0; I < (1u << 16); ++I)
-    T.push_back('a' + R.nextBelow(4));
-  SuffixArray A{std::vector<Symbol>(T)};
-  EXPECT_EQ(A.constructionBackend(), SaBackend::SaIs);
-  checkSaIsMatchesDoubling(T);
-}
-
-TEST(SaBackendPick, LargeRepeatPoorTextUsesPrefixDoubling) {
-  // Large but almost-unique symbols: ranks go unique within a couple of
-  // doubling rounds, which O(n) construction cannot beat in practice.
-  std::vector<Symbol> T;
-  T.reserve(1 << 16);
-  for (std::size_t I = 0; I < (1u << 16); ++I)
-    T.push_back(0x1000 + I * 3);
-  SuffixArray A{std::vector<Symbol>(T)};
-  EXPECT_EQ(A.constructionBackend(), SaBackend::PrefixDoubling);
-  checkSaIsMatchesDoubling(T);
-}
-
-TEST(SaBackendPick, PickIsDeterministicAndNamed) {
-  Rng R(0x9e1c);
-  std::vector<Symbol> T;
-  for (std::size_t I = 0; I < 50000; ++I)
-    T.push_back('a' + R.nextBelow(3));
-  SuffixArray A{std::vector<Symbol>(T)};
-  SuffixArray B{std::vector<Symbol>(T)};
-  EXPECT_EQ(A.constructionBackend(), B.constructionBackend());
-  EXPECT_STREQ(saBackendName(SaBackend::SaIs), "sa_is");
-  EXPECT_STREQ(saBackendName(SaBackend::PrefixDoubling), "prefix_doubling");
-}
-
-TEST(SaIsDifferential, SeededRepeatTexts) {
-  // Repeat-heavy inputs exercise the SA-IS recursion (many equal LMS
-  // substrings force non-unique names): periodic texts, doubled random
-  // blocks, and runs, with unique separators mixed in like the outliner's
-  // group sequences.
+TEST(SuffixArrayOracle, SeededRepeatTexts) {
+  // Repeat-heavy inputs force many doubling rounds: periodic texts built
+  // from doubled random blocks, with unique separators mixed in like the
+  // outliner's group sequences.
   Rng R(0xd0b1);
   for (int Case = 0; Case < 30; ++Case) {
     std::vector<Symbol> Block;
@@ -331,31 +296,37 @@ TEST(SaIsDifferential, SeededRepeatTexts) {
       if (R.nextBelow(3) == 0)
         T.push_back(SeparatorBase + Sep++);
     }
-    checkSaIsMatchesDoubling(T);
+    checkMatchesNaive(T);
   }
 }
 
-TEST(SaIsDifferential, ExternalArenaMatchesPrivate) {
-  // Same text through a caller-supplied arena (reused and reset between
-  // constructions, like the Phase B pool does) and through the private
-  // arena: identical arrays, identical repeat enumeration.
-  Rng R(0xae1a);
-  support::Arena Scratch;
-  for (int Case = 0; Case < 10; ++Case) {
-    std::size_t N = 50 + R.nextBelow(200);
-    std::vector<Symbol> T;
-    for (std::size_t I = 0; I < N; ++I)
-      T.push_back('a' + R.nextBelow(4));
+TEST(SuffixArrayOracle, LongRunAndPeriodicTexts) {
+  // The deepest doubling: a run of one symbol (log2(n) rounds) and short
+  // periods. Kept at 4,096 symbols so the naive sort stays cheap.
+  checkMatchesNaive(std::vector<Symbol>(4096, 'a'));
+  checkMatchesNaive(periodicText(3, 4096));
+  checkMatchesNaive(periodicText(7, 4095));
+}
 
-    SuffixArray WithPool(std::vector<Symbol>(T), &Scratch);
-    Scratch.reset(); // Construction scratch is dead the moment it returns.
-    SuffixArray Private{std::vector<Symbol>(T)};
-    ASSERT_EQ(WithPool.suffixArray().size(), Private.suffixArray().size());
-    for (std::size_t I = 0; I < Private.suffixArray().size(); ++I)
-      ASSERT_EQ(WithPool.suffixArray()[I], Private.suffixArray()[I]);
-    EXPECT_EQ(WithPool.numNodes(), Private.numNodes());
-    EXPECT_GT(Scratch.bytesReserved(), 0u);
-  }
+TEST(SuffixArrayOracle, LargeFourLetterText) {
+  // A large text over a tiny alphabet: most bigrams repeat, so ranks stay
+  // tied for several rounds.
+  Rng R(0xbac0);
+  std::vector<Symbol> T;
+  T.reserve(1 << 16);
+  for (std::size_t I = 0; I < (1u << 16); ++I)
+    T.push_back('a' + R.nextBelow(4));
+  checkMatchesNaive(T);
+}
+
+TEST(SuffixArrayOracle, LargeDistinctText) {
+  // Large but all-distinct symbols: every rank is unique after the seed
+  // sort, so doubling exits in its first round.
+  std::vector<Symbol> T;
+  T.reserve(1 << 16);
+  for (std::size_t I = 0; I < (1u << 16); ++I)
+    T.push_back(0x1000 + ((I * 40503) & 0xffff) * 3);
+  checkMatchesNaive(T);
 }
 
 TEST(SuffixArray, FirstPositionMatchesPositions) {
@@ -367,7 +338,7 @@ TEST(SuffixArray, FirstPositionMatchesPositions) {
       T.push_back('a' + R.nextBelow(4));
     SuffixArray A(std::move(T));
     A.forEachRepeat(1, 64, 2, [&](const RepeatInfo &Rep) {
-      EXPECT_EQ(A.firstPositionOf(Rep.Node), A.positionsOf(Rep.Node).front());
+      EXPECT_EQ(A.firstPositionOf(Rep.Node), positionsOf(A, Rep.Node).front());
     });
   }
 }
@@ -381,7 +352,7 @@ TEST(SuffixArray, BananaIntervals) {
   EXPECT_EQ(A.textSize(), 6u);
   std::map<std::vector<Symbol>, uint32_t> Found;
   A.forEachRepeat(1, 100, 2, [&](const RepeatInfo &R) {
-    auto Pos = A.positionsOf(R.Node);
+    auto Pos = positionsOf(A, R.Node);
     std::vector<Symbol> Key(A.text().begin() + Pos[0],
                             A.text().begin() + Pos[0] + R.Length);
     EXPECT_EQ(Pos.size(), R.Count);
@@ -402,7 +373,7 @@ enumerateRepeats(SuffixArray &D, const std::vector<Symbol> &T,
                  uint32_t MaxLen) {
   std::map<std::vector<Symbol>, std::vector<uint32_t>> Out;
   D.forEachRepeat(1, MaxLen, 2, [&](const RepeatInfo &R) {
-    auto Pos = D.positionsOf(R.Node);
+    auto Pos = positionsOf(D, R.Node);
     Out[{T.begin() + Pos[0], T.begin() + Pos[0] + R.Length}] = Pos;
   });
   return Out;

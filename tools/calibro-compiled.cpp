@@ -28,6 +28,7 @@
 
 #include "oat/Serialize.h"
 #include "service/CompileService.h"
+#include "service/JobLine.h"
 #include "support/NumericArgs.h"
 #include "workload/Workload.h"
 
@@ -37,7 +38,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -92,44 +92,6 @@ uint64_t nextUnsigned(int &I, int Argc, char **Argv, uint64_t Min,
   if (!V)
     usage();
   return *V;
-}
-
-/// One parsed job line.
-struct JobLine {
-  std::string AppName;
-  double Scale = 0.5;
-  uint64_t Seed = 0;
-  uint64_t BudgetBytes = 0;
-  std::string Out;
-};
-
-bool parseJobLine(const std::string &Line, JobLine &J) {
-  std::istringstream In(Line);
-  std::string Tok;
-  while (In >> Tok) {
-    auto Eq = Tok.find('=');
-    if (Eq == std::string::npos)
-      return false;
-    std::string K = Tok.substr(0, Eq), V = Tok.substr(Eq + 1);
-    if (K == "app") {
-      J.AppName = V;
-    } else if (K == "scale") {
-      auto Scale = support::parsePositive(V);
-      if (!Scale)
-        return false;
-      J.Scale = *Scale;
-    } else if (K == "seed" || K == "budget") {
-      auto N = support::parseUnsigned(V);
-      if (!N)
-        return false;
-      (K == "seed" ? J.Seed : J.BudgetBytes) = *N;
-    } else if (K == "out") {
-      J.Out = V;
-    } else {
-      return false;
-    }
-  }
-  return !J.AppName.empty() && !J.Out.empty();
 }
 
 } // namespace
@@ -190,7 +152,7 @@ int main(int argc, char **argv) {
   }
 
   struct Pending {
-    JobLine Line;
+    service::JobLine Line;
     std::unique_ptr<dex::App> App;
     std::shared_ptr<service::JobHandle> Handle;
   };
@@ -208,8 +170,8 @@ int main(int argc, char **argv) {
   while (std::getline(std::cin, Line)) {
     if (Line.empty() || Line[0] == '#')
       continue;
-    JobLine J;
-    if (!parseJobLine(Line, J)) {
+    service::JobLine J;
+    if (!service::parseJobLine(Line, J)) {
       std::fprintf(stderr, "bad job line: %s\n", Line.c_str());
       usage();
     }
